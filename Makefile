@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check ci race resilience procfault fuzz bench bench-dag bench-angleset bench-weighted bench-comm bench-record benchstat bench-smoke verify service loadtest loadtest-smoke
+.PHONY: check ci race resilience procfault fuzz bench bench-dag bench-angleset bench-weighted bench-comm bench-record benchstat bench-smoke perfbench verify service loadtest loadtest-smoke
 
 check:
 	$(GO) build ./... && $(GO) test ./...
@@ -32,17 +32,10 @@ resilience:
 procfault:
 	$(GO) test -race -count=1 -timeout 300s ./internal/procrun
 
+# Every target in fuzz_targets.txt (the list ci.sh runs too;
+# TestFuzzTargetsListed keeps it complete).
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzFromEdges$$' -fuzztime 10s ./internal/dag
-	$(GO) test -run '^$$' -fuzz '^FuzzBuildEquivalence$$' -fuzztime 10s ./internal/dag
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/mesh
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/faults
-	$(GO) test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzTransportRequest$$' -fuzztime 10s ./internal/service
-	$(GO) test -run '^$$' -fuzz '^FuzzAnglesetExpand$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzWeightedEquivalence$$' -fuzztime 10s ./internal/sched
-	$(GO) test -run '^$$' -fuzz '^FuzzFluxBatchCodec$$' -fuzztime 10s ./internal/procrun
+	GO=$(GO) FUZZTIME=10s ./fuzz.sh
 
 ci:
 	./ci.sh
@@ -105,14 +98,26 @@ bench-comm:
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveParallelComm' -benchmem -count 5 ./internal/transport
 	SWEEPSCHED_BENCH_COMM_FULL=1 $(GO) test -run '^$$' -bench 'BenchmarkProcRunComm' -benchmem -timeout 3600s ./internal/procrun
 
-# Reproduce the numbers recorded in BENCH_PR1.json, BENCH_PR3.json and
-# BENCH_PR5.json.
+# Reproduce the numbers recorded in BENCH_PR1.json (parallel
+# per-direction pipeline), BENCH_PR3.json (scheduling kernels and pipeline), BENCH_PR5.json
+# (DAG builder) and BENCH_PR10.json (in-process transport traffic). The
+# other ledgers have their own targets: bench-angleset (PR 8),
+# bench-weighted (PR 9), loadtest (PR 6) and bench-comm (PR 10 with the
+# multi-process runner).
 bench-record:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildAll/' -count 5 ./internal/dag
 	$(GO) test -run '^$$' -bench 'Benchmark(BuildInto|BuildAllFamily)/' -benchmem -count 5 ./internal/dag
 	$(GO) test -run '^$$' -bench 'BenchmarkSchedule/' -count 5 .
 	$(GO) test -run '^$$' -bench 'Benchmark(ScheduleKernel|CommKernel)/' -benchmem -count 5 ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveParallelComm' -benchmem -count 5 ./internal/transport
+
+# The repository benchmark (perfbench/README.md): builds perfbench from
+# this checkout and runs one workload, printing one JSON line of
+# metrics last. Pass flags with PERFBENCH_ARGS, e.g.
+#   make perfbench PERFBENCH_ARGS='--workload solve --seed 1 --trace 1'
+PERFBENCH_ARGS ?= --workload pipeline --seed 1 --seconds 55 --trace 0
+perfbench:
+	bash perfbench/run.sh $(PERFBENCH_ARGS)
 
 # One iteration of every benchmark in the repo — a compile-and-run smoke
 # pass (also part of ci.sh), not a measurement.

@@ -1,7 +1,7 @@
 // Package comm is the batched flux-communication layer shared by every
-// executor: the in-process channel solver (transport.SolveParallel), the
-// fault-injected engine (faults.Engine), and the multi-process runner
-// (internal/procrun). It owns the batch envelope, the pooled buffers that
+// communicating executor: the in-process engine (faults.Engine, which
+// also runs transport.SolveParallel and simulate.Run) and the
+// multi-process runner (internal/procrun). It owns the batch envelope, the pooled buffers that
 // keep the warm path at zero allocations, and the explicit per-message vs
 // per-batch cost model the obs counters report.
 //

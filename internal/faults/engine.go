@@ -54,12 +54,15 @@ func (r *RecoveryReport) String() string {
 		r.MessagesSent, r.CommRounds, r.DeadProcs, r.LastResidualBound)
 }
 
-// Engine executes sweeps of a schedule on the simulated distributed
-// machine (one goroutine per live processor, channel interconnect,
-// barrier-synchronous steps) under an injected fault plan. It is stateful
-// across sweeps — crashed processors stay dead, and the recovered
-// assignment and schedule persist — so the transport solver can run its
-// source iteration through one engine.
+// Engine is the in-process executor of the repository: it runs sweeps of
+// a schedule on a simulated distributed machine — one goroutine per live
+// processor, a channel interconnect, barrier-synchronous steps — under an
+// optional injected fault plan. transport.SolveParallel and
+// simulate.Run are this engine with a nil plan. It is stateful across
+// sweeps — crashed processors stay dead, and the recovered assignment
+// and schedule persist — so the transport solver runs its whole source
+// iteration through one engine, and the per-processor state below is
+// allocated once per engine, not per sweep or step.
 //
 // Execution proceeds in epochs. An epoch runs the current (residual)
 // schedule until it finishes, a planned crash fires, or a worker stalls on
@@ -70,6 +73,15 @@ func (r *RecoveryReport) String() string {
 // the least-loaded survivors and residual list scheduling
 // (sched.ListScheduleResidual) — the same core internal/procrun drives
 // for real kill -9'd worker processes.
+//
+// The interconnect is a delivery policy of the one epoch loop and worker
+// (SetNoBatch). By default a released flux joins its destination's open
+// envelope in a shared comm.Outbox, tagged with its earliest consumer's
+// step, and the coordinator flushes exactly the due envelopes at each
+// barrier. The NoBatch oracle instead transmits every message on its own
+// the moment the injector releases it. Both deliver every flux by its
+// consumer's step, so fluxes and every RecoveryReport field agree
+// bitwise across policies; only the transmission counts differ.
 type Engine struct {
 	inst *sched.Instance
 	orig *sched.Schedule
@@ -84,18 +96,42 @@ type Engine struct {
 	needRebuild bool
 	report      RecoveryReport
 
-	// noBatch selects the frozen per-message interconnect (one channel
-	// delivery per logical cross message) instead of the deadline-driven
-	// envelope path. Both converge bitwise-identically with identical
-	// RecoveryReports; NoBatch is the differential oracle.
+	// noBatch selects the per-message delivery policy; see Engine.
 	noBatch bool
 	// commBatches/commBytes accumulate physical transmissions on the
 	// batched path (the unbatched equivalents are derived from
 	// MessagesSent); see CommTraffic.
 	commBatches, commBytes int64
 
-	// col receives execution counters (nil = off).
+	// col receives execution counters (nil = off); ctr caches its comm.*
+	// handles.
 	col *obs.Collector
+	ctr comm.Counters
+
+	// done marks the sweep's completed tasks; each worker sets its own
+	// tasks' entries during a step, the coordinator reads and rolls them
+	// back between steps. doneStart is done at epoch start: those fluxes
+	// are durable and read straight from psi.
+	done, doneStart []bool
+	// grouped is the schedule order/procOff were built for (nil after a
+	// recovery replaces the schedule): processor p runs
+	// order[procOff[p]:procOff[p+1]], sorted by (start step, task id).
+	grouped *sched.Schedule
+	order   []sched.TaskID
+	procOff []int32
+	scratch []sched.TaskID // counting-sort scratch
+	stepOff []int32        // counting-sort scratch, one slot per step or processor
+	// recv[p] holds the cross fluxes p received this epoch, keyed by
+	// producing task; it is cleared, not reallocated, per epoch.
+	recv   []map[sched.TaskID]float64
+	inbox  []chan *comm.Batch
+	outbox *comm.Outbox
+	stepCh []chan stepMsg
+	// acks is buffered to the processor count: each worker has at most
+	// one ack outstanding, so a worker never blocks on a coordinator that
+	// stopped collecting (cancellation, teardown).
+	acks    chan workerAck
+	spawned []int32 // the epoch's workers (live processors)
 }
 
 // SetNoBatch selects the per-message oracle interconnect (true) or the
@@ -116,11 +152,12 @@ func (e *Engine) CommTraffic() (messages, batches, bytes, rounds int64) {
 }
 
 // Observe attaches a stats collector: the engine reports epochs,
-// recoveries, replays and live processors, and the workspace forwards
-// the sched.* kernel series for the residual reschedules. A nil
-// collector detaches.
+// recoveries, replays, live processors and the comm.* traffic series,
+// and the workspace forwards the sched.* kernel series for the residual
+// reschedules. A nil collector detaches.
 func (e *Engine) Observe(col *obs.Collector) {
 	e.col = col
+	e.ctr = comm.NewCounters(col)
 	e.rec.Observe(col)
 }
 
@@ -143,22 +180,37 @@ func (e *Engine) Audit() error {
 	})
 }
 
-// NewEngine prepares a fault-injected executor for the schedule. plan may
-// be nil (no faults). The schedule must be feasible; infeasibility is
-// detected during execution and reported as an error.
+// NewEngine prepares an executor for the schedule. plan may be nil (no
+// faults). The schedule must be feasible; infeasibility is detected
+// during execution and reported as an error.
 func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 	rec, err := NewRecovery(s)
 	if err != nil {
 		return nil, err
 	}
+	m, nt := s.Inst.M, s.Inst.NTasks()
 	e := &Engine{
 		inst:      s.Inst,
 		orig:      s,
 		cur:       s,
 		inj:       NewInjector(plan),
 		rec:       rec,
-		sinceCkpt: make([][]sched.TaskID, s.Inst.M),
+		sinceCkpt: make([][]sched.TaskID, m),
 		ckptEvery: Spec{}.withDefaults().CheckpointEvery,
+		done:      make([]bool, nt),
+		doneStart: make([]bool, nt),
+		order:     make([]sched.TaskID, nt),
+		scratch:   make([]sched.TaskID, nt),
+		procOff:   make([]int32, m+1),
+		recv:      make([]map[sched.TaskID]float64, m),
+		inbox:     make([]chan *comm.Batch, m),
+		outbox:    comm.NewOutbox(m),
+		stepCh:    make([]chan stepMsg, m),
+		acks:      make(chan workerAck, m),
+	}
+	for p := 0; p < m; p++ {
+		e.recv[p] = map[sched.TaskID]float64{}
+		e.stepCh[p] = make(chan stepMsg)
 	}
 	if plan != nil {
 		e.report.Seed = plan.Seed
@@ -196,12 +248,12 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 		if err != nil {
 			return err
 		}
-		e.cur = full
+		e.cur, e.grouped = full, nil
 		e.needRebuild = false
 	}
 	e.report.StepsFaultFree += e.orig.Makespan
 
-	done := make([]bool, nt)
+	clear(e.done)
 	remaining := nt
 	cur := e.cur
 	for remaining > 0 {
@@ -210,7 +262,7 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 		}
 		var reason epochEnd
 		var err error
-		remaining, reason, err = e.runEpoch(ctx, cur, done, compute, psi, remaining)
+		remaining, reason, err = e.runEpoch(ctx, cur, compute, psi, remaining)
 		if err != nil {
 			return err
 		}
@@ -227,11 +279,11 @@ func (e *Engine) Sweep(ctx context.Context, compute Compute, psi []float64) erro
 			e.report.Recoveries++
 			e.col.Counter("faults.recoveries").Inc()
 			e.report.LastResidualBound = lb.ResidualLoad(remaining, e.rec.NLive())
-			resid, err := e.rec.Reschedule(done)
+			resid, err := e.rec.Reschedule(e.done)
 			if err != nil {
 				return err
 			}
-			cur = resid
+			cur, e.grouped = resid, nil
 		}
 	}
 	return nil
@@ -245,102 +297,147 @@ const (
 	endStall
 )
 
+// stepMsg opens one barrier step of an epoch; a negative local step tells
+// the worker to exit.
 type stepMsg struct{ local, global int32 }
 
+var stopWorker = stepMsg{local: -1}
+
+// workerAck is one worker's report of one step.
 type workerAck struct {
 	proc      int32
-	completed []sched.TaskID
-	sent      int32
+	completed int32 // tasks completed (marked in Engine.done)
+	sent      int32 // logical cross-processor messages
 	stalled   bool
 	stallTask sched.TaskID // the task that could not run
 	stallMiss sched.TaskID // the upwind flux it is missing
 	err       error
 }
 
-// runEpoch executes the schedule's not-done tasks barrier-synchronously
-// until completion, a crash, or a stall. It owns the worker goroutines for
-// the epoch and always tears them down before returning (no leaks on any
-// path, including cancellation). The default interconnect is the batched
-// envelope path; SetNoBatch(true) selects the per-message oracle.
-func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool,
-	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
-	if e.noBatch {
-		return e.runEpochUnbatched(ctx, cur, done, compute, psi, remaining)
+// group buckets cur's not-done tasks per processor in (start, id) order
+// and sizes the inboxes for the delivery policy. The grouping is rebuilt
+// only when a recovery replaces the schedule, so fault-free sweeps reuse
+// the first one.
+func (e *Engine) group(cur *sched.Schedule) error {
+	if cur == e.grouped {
+		return nil
 	}
-	return e.runEpochBatched(ctx, cur, done, compute, psi, remaining)
+	inst := e.inst
+	m := inst.M
+	assign := e.rec.Assign()
+	T := int32(cur.Makespan)
+	if need := max(int(T)+1, m); cap(e.stepOff) < need {
+		e.stepOff = make([]int32, need)
+	}
+	// Two stable counting-sort passes: tasks by start step into
+	// scratch, then by processor into order.
+	byStart := e.stepOff[:T+1]
+	clear(byStart)
+	clear(e.procOff)
+	nt := inst.NTasks()
+	count := 0
+	for t := 0; t < nt; t++ {
+		if e.done[t] {
+			continue
+		}
+		st := cur.Start[t]
+		if st < 0 || st >= T {
+			return fmt.Errorf("faults: task %d is scheduled at step %d, outside the schedule's %d steps", t, st, T)
+		}
+		byStart[st+1]++
+		v, _ := inst.Split(sched.TaskID(t))
+		e.procOff[assign[v]+1]++
+		count++
+	}
+	for st := int32(1); st <= T; st++ {
+		byStart[st] += byStart[st-1]
+	}
+	for p := 1; p <= m; p++ {
+		e.procOff[p] += e.procOff[p-1]
+	}
+	for t := 0; t < nt; t++ {
+		if !e.done[t] {
+			st := cur.Start[t]
+			e.scratch[byStart[st]] = sched.TaskID(t)
+			byStart[st]++
+		}
+	}
+	next := e.stepOff[:m] // next free slot per processor
+	copy(next, e.procOff[:m])
+	for _, t := range e.scratch[:count] {
+		v, _ := inst.Split(t)
+		p := assign[v]
+		e.order[next[p]] = t
+		next[p]++
+	}
+	e.grouped = cur
+
+	// Inbox capacities: an envelope per barrier when batching; every
+	// cross edge of the assignment plus slack for duplicated and matured
+	// delayed messages per message, so no send ever blocks a barrier.
+	if !e.noBatch {
+		for p := range e.inbox {
+			if e.inbox[p] == nil {
+				e.inbox[p] = make(chan *comm.Batch, 2)
+			}
+		}
+		return nil
+	}
+	slack := 2
+	if e.inj.plan != nil {
+		slack += 2 * len(e.inj.plan.Events)
+	}
+	for p, in := range sched.CrossIncoming(inst, assign, nil) {
+		if cap(e.inbox[p]) < in+slack {
+			e.inbox[p] = make(chan *comm.Batch, in+slack)
+		}
+	}
+	return nil
 }
 
-// runEpochUnbatched is the per-message interconnect: every cross-processor
-// flux is one channel delivery the moment the injector releases it. Kept
-// verbatim as the differential oracle for the batched path.
-func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, done []bool,
+// runEpoch executes cur's not-done tasks barrier-synchronously until
+// completion, a crash, or a stall. It owns the worker goroutines for the
+// epoch and always tears them down before returning (no leaks on any
+// path, including cancellation).
+func (e *Engine) runEpoch(ctx context.Context, cur *sched.Schedule,
 	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
 
 	e.report.Epochs++
 	e.col.Counter("faults.epochs").Inc()
 	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
-	inst := e.inst
-	m := inst.M
-	assign := e.rec.Assign()
+	if err := e.group(cur); err != nil {
+		return remaining, endCompleted, err
+	}
+	copy(e.doneStart, e.done)
 
-	// Group the epoch's tasks per (processor, local step) and size inboxes:
-	// exact cross-message counts (shared barrier-executor helpers) plus
-	// slack for duplicated and re-delivered (delayed) messages, so channel
-	// sends never block.
-	byStep, err := sched.GroupSteps(cur, assign, done)
-	if err != nil {
-		return remaining, endCompleted, fmt.Errorf("faults: internal: %w", err)
-	}
-	crossIn := sched.CrossIncoming(inst, assign, done)
-	slack := 2
-	if e.inj.plan != nil {
-		slack += 2 * len(e.inj.plan.Events)
-	}
-	inbox := make([]chan Delivery, m)
-	for p := range inbox {
-		inbox[p] = make(chan Delivery, crossIn[p]+slack)
-	}
-	doneStart := append([]bool(nil), done...)
-	ctr := comm.NewCounters(e.col)
-
-	var spawned []int32
-	stepCh := make([]chan stepMsg, m)
-	reports := make(chan workerAck, m)
 	var wg sync.WaitGroup
-	for p := int32(0); p < int32(m); p++ {
+	e.spawned = e.spawned[:0]
+	for p := int32(0); p < int32(e.inst.M); p++ {
 		if !e.rec.Live(p) {
 			continue
 		}
-		stepCh[p] = make(chan stepMsg)
-		spawned = append(spawned, p)
+		e.spawned = append(e.spawned, p)
 		wg.Add(1)
 		go func(p int32) {
 			defer wg.Done()
-			e.worker(p, byStep[p], doneStart, inbox, stepCh[p], reports, compute, psi)
+			e.worker(p, cur, compute, psi)
 		}(p)
 	}
-	teardown := func() {
-		for _, p := range spawned {
-			close(stepCh[p])
-		}
-		wg.Wait()
-		e.inj.DiscardDelayed()
-	}
+	defer e.teardown(&wg)
 
 	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
 		g := e.globalStep
 		// Planned crashes due at this barrier fire before the step runs:
 		// the processor completes steps strictly before its crash step.
 		var dying []int32
-		for _, p := range spawned {
+		for _, p := range e.spawned {
 			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
 				dying = append(dying, p)
 			}
 		}
 		if len(dying) > 0 {
-			teardown()
-			remaining = e.applyCrashes(dying, done, remaining)
-			return remaining, endCrash, nil
+			e.teardown(&wg)
+			return e.applyCrashes(dying, remaining), endCrash, nil
 		}
 		// Periodic durable checkpoint: completions up to here can no longer
 		// be lost to a crash.
@@ -350,18 +447,23 @@ func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, don
 			}
 			e.lastCkpt = g
 		}
-		// Held (delayed) messages that matured are delivered before the
-		// barrier opens.
+		// Held (delayed) messages that matured are released before the
+		// barrier opens: straight into the inbox per message, or into the
+		// destination's envelope with an immediate deadline, so they still
+		// arrive at their maturity step (maturing past the consumer's step
+		// stalls the epoch under either policy).
 		for _, dl := range e.inj.Matured(g) {
 			if e.rec.Live(dl.To) {
-				inbox[dl.To] <- dl
+				e.deliver(dl.To, dl.Task, dl.Psi, ls)
 			}
 		}
-		for _, p := range spawned {
+		if !e.noBatch {
+			e.outbox.FlushDue(ls, e.flush)
+		}
+		for _, p := range e.spawned {
 			select {
-			case stepCh[p] <- stepMsg{local: ls, global: g}:
+			case e.stepCh[p] <- stepMsg{local: ls, global: g}:
 			case <-ctx.Done():
-				teardown()
 				return remaining, endCompleted, ctx.Err()
 			}
 		}
@@ -371,17 +473,15 @@ func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, don
 		stalled := false
 		unexplained := false
 		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for range spawned {
+		for range e.spawned {
 			select {
-			case a := <-reports:
-				for _, t := range a.completed {
-					done[t] = true
-					remaining--
-					e.sinceCkpt[a.proc] = append(e.sinceCkpt[a.proc], t)
-				}
+			case a := <-e.acks:
+				remaining -= int(a.completed)
 				e.report.MessagesSent += int64(a.sent)
-				ctr.Logical(int(a.sent))
-				ctr.PerMessage(int(a.sent))
+				e.ctr.Logical(int(a.sent))
+				if e.noBatch {
+					e.ctr.PerMessage(int(a.sent))
+				}
 				if a.sent > stepMax {
 					stepMax = a.sent
 				}
@@ -398,7 +498,6 @@ func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, don
 					}
 				}
 			case <-ctx.Done():
-				teardown()
 				return remaining, endCompleted, ctx.Err()
 			}
 		}
@@ -406,11 +505,9 @@ func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, don
 		e.globalStep++
 		e.report.StepsExecuted++
 		if feasErr != nil {
-			teardown()
 			return remaining, endCompleted, feasErr
 		}
 		if stalled {
-			teardown()
 			if unexplained {
 				return remaining, endCompleted, fmt.Errorf(
 					"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
@@ -419,341 +516,135 @@ func (e *Engine) runEpochUnbatched(ctx context.Context, cur *sched.Schedule, don
 			return remaining, endStall, nil
 		}
 	}
-	teardown()
 	return remaining, endCompleted, nil
+}
+
+// teardown stops the epoch's workers and recycles everything still in
+// flight: held delayed messages and undelivered envelopes are moot, since
+// the next epoch reads completed producers' fluxes from the durable psi.
+// It is idempotent within an epoch.
+func (e *Engine) teardown(wg *sync.WaitGroup) {
+	for _, p := range e.spawned {
+		e.stepCh[p] <- stopWorker
+	}
+	e.spawned = e.spawned[:0]
+	wg.Wait()
+	for len(e.acks) > 0 {
+		<-e.acks
+	}
+	e.inj.DiscardDelayed()
+	e.outbox.DiscardAll()
+	for p := range e.inbox {
+		e.drain(int32(p), nil)
+	}
+}
+
+// deliver releases one flux for destination to under the engine's
+// policy: its own transmission now (NoBatch), or an item of to's open
+// envelope due at the given local step.
+func (e *Engine) deliver(to int32, t sched.TaskID, psi float64, due int32) {
+	if e.noBatch {
+		b := comm.GetBatch()
+		b.To = to
+		b.Items = append(b.Items, comm.Item{Task: t, Psi: psi})
+		e.inbox[to] <- b
+		return
+	}
+	e.outbox.Add(to, t, psi, due)
+}
+
+// flush transmits one due envelope (the batched policy's only send).
+func (e *Engine) flush(b *comm.Batch) {
+	e.commBatches++
+	e.commBytes += comm.BatchWireBytes(len(b.Items))
+	e.ctr.Envelope(len(b.Items))
+	e.inbox[b.To] <- b
+}
+
+// drain empties p's inbox, recording every received flux in recv (nil
+// discards) and recycling the envelopes.
+func (e *Engine) drain(p int32, recv map[sched.TaskID]float64) {
+	for {
+		select {
+		case b := <-e.inbox[p]:
+			for _, it := range b.Items {
+				if recv != nil {
+					recv[it.Task] = it.Psi
+				}
+			}
+			comm.PutBatch(b)
+		default:
+			return
+		}
+	}
 }
 
 // worker is one live processor for one epoch. Per step it drains its
-// inbox, runs the tasks scheduled at that step (reading checkpointed
+// inbox, runs its tasks scheduled at that step (reading checkpointed
 // upwind fluxes straight from psi and in-epoch cross fluxes from received
-// messages), and routes every cross-processor send through the injector.
-func (e *Engine) worker(p int32, byStep map[int32][]sched.TaskID, doneStart []bool,
-	inbox []chan Delivery, stepCh <-chan stepMsg, reports chan<- workerAck,
-	compute Compute, psi []float64) {
-
+// messages), marks them done, and routes every cross-processor send
+// through the injector and the delivery policy.
+func (e *Engine) worker(p int32, cur *sched.Schedule, compute Compute, psi []float64) {
 	inst := e.inst
 	assign := e.rec.Assign()
 	n := int32(inst.N())
-	recv := map[sched.TaskID]float64{}
-	localDone := map[sched.TaskID]bool{}
-	for sm := range stepCh {
-		for {
-			select {
-			case d := <-inbox[p]:
-				recv[d.Task] = d.Psi
-				continue
-			default:
-			}
-			break
+	tasks := e.order[e.procOff[p]:e.procOff[p+1]]
+	recv := e.recv[p]
+	clear(recv)
+	for {
+		sm := <-e.stepCh[p]
+		if sm.local < 0 {
+			return
 		}
+		e.drain(p, recv)
 		a := workerAck{proc: p}
-		for _, t := range byStep[sm.local] {
+	run:
+		for len(tasks) > 0 && cur.Start[tasks[0]] == sm.local {
+			t := tasks[0]
 			v, i := inst.Split(t)
 			d := inst.DAGs[i]
 			base := sched.TaskID(int32(i) * n)
 			inflow := 0.0
 			preds := d.In(v)
-			ok := true
 			for _, u := range preds {
 				ut := base + sched.TaskID(u)
 				switch {
-				case doneStart[ut]:
+				case e.doneStart[ut]:
 					inflow += psi[ut] // durable checkpoint, written in an earlier epoch
 				case assign[u] == p:
-					if !localDone[ut] {
+					if !e.done[ut] {
 						a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, sm.global, ut)
-						ok = false
-					} else {
-						inflow += psi[ut]
+						break run
 					}
+					inflow += psi[ut]
 				default:
 					val, have := recv[ut]
 					if !have {
 						a.stalled, a.stallTask, a.stallMiss = true, t, ut
-						ok = false
-					} else {
-						inflow += val
+						break run
 					}
+					inflow += val
 				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
 			}
 			if len(preds) > 0 {
 				inflow /= float64(len(preds))
 			}
 			val := compute(t, inflow)
 			psi[t] = val
-			localDone[t] = true
-			a.completed = append(a.completed, t)
+			e.done[t] = true
+			e.sinceCkpt[p] = append(e.sinceCkpt[p], t)
+			a.completed++
+			tasks = tasks[1:]
 			for _, w := range d.Out(v) {
 				q := assign[w]
 				if q == p {
 					continue
 				}
 				a.sent++
-				for _, dl := range e.inj.OnSend(t, q, val, sm.global) {
-					inbox[dl.To] <- dl
-				}
-			}
-		}
-		reports <- a
-	}
-}
-
-// runEpochBatched is the deadline-driven envelope interconnect
-// (internal/comm). The injector still operates on logical messages at
-// produce time — a planned Drop/Delay/Duplicate hits exactly the message
-// it hits on the oracle path — but released deliveries accumulate in a
-// shared per-destination outbox tagged with their consumer's scheduled
-// step, and the coordinator flushes exactly the due envelopes at each
-// barrier. Delayed messages that mature are enqueued with an immediate
-// deadline, so they still arrive at their maturity step (maturing past
-// the consumer's step stalls the epoch exactly as unbatched). Logical
-// accounting (MessagesSent, CommRounds, every RecoveryReport field) is
-// bitwise-identical to the oracle; only commBatches/commBytes differ.
-func (e *Engine) runEpochBatched(ctx context.Context, cur *sched.Schedule, done []bool,
-	compute Compute, psi []float64, remaining int) (int, epochEnd, error) {
-
-	e.report.Epochs++
-	e.col.Counter("faults.epochs").Inc()
-	e.col.Gauge("faults.live_procs").Set(int64(e.rec.NLive()))
-	inst := e.inst
-	m := inst.M
-	assign := e.rec.Assign()
-
-	byStep, err := sched.GroupSteps(cur, assign, done)
-	if err != nil {
-		return remaining, endCompleted, fmt.Errorf("faults: internal: %w", err)
-	}
-	outbox := comm.NewOutbox(m)
-	// At most one envelope per destination is in flight per barrier (the
-	// outbox keeps a single open envelope per destination, and matured
-	// delayed messages ride it), so capacity 2 leaves margin.
-	inbox := make([]chan *comm.Batch, m)
-	for p := range inbox {
-		inbox[p] = make(chan *comm.Batch, 2)
-	}
-	doneStart := append([]bool(nil), done...)
-	ctr := comm.NewCounters(e.col)
-
-	var spawned []int32
-	stepCh := make([]chan stepMsg, m)
-	reports := make(chan workerAck, m)
-	var wg sync.WaitGroup
-	for p := int32(0); p < int32(m); p++ {
-		if !e.rec.Live(p) {
-			continue
-		}
-		stepCh[p] = make(chan stepMsg)
-		spawned = append(spawned, p)
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			e.workerBatched(p, byStep[p], cur, doneStart, outbox, inbox, stepCh[p], reports, compute, psi)
-		}(p)
-	}
-	teardown := func() {
-		for _, p := range spawned {
-			close(stepCh[p])
-		}
-		wg.Wait()
-		e.inj.DiscardDelayed()
-		// Undelivered envelopes are moot — the next epoch reads completed
-		// producers' fluxes from the durable psi — so recycle them.
-		outbox.DiscardAll()
-		for p := range inbox {
-			for {
-				select {
-				case b := <-inbox[p]:
-					comm.PutBatch(b)
-					continue
-				default:
-				}
-				break
-			}
-		}
-	}
-	flush := func(b *comm.Batch) {
-		e.commBatches++
-		e.commBytes += comm.BatchWireBytes(len(b.Items))
-		ctr.Envelope(len(b.Items))
-		inbox[b.To] <- b
-	}
-
-	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
-		g := e.globalStep
-		var dying []int32
-		for _, p := range spawned {
-			if cs := e.inj.CrashStep(p); cs >= 0 && cs <= g {
-				dying = append(dying, p)
-			}
-		}
-		if len(dying) > 0 {
-			teardown()
-			remaining = e.applyCrashes(dying, done, remaining)
-			return remaining, endCrash, nil
-		}
-		if g-e.lastCkpt >= e.ckptEvery {
-			for p := range e.sinceCkpt {
-				e.sinceCkpt[p] = e.sinceCkpt[p][:0]
-			}
-			e.lastCkpt = g
-		}
-		// Matured delayed messages join their destination's envelope with
-		// an immediate deadline; the flush below ships every envelope whose
-		// earliest consumer (or matured item) is due at this step.
-		for _, dl := range e.inj.Matured(g) {
-			if e.rec.Live(dl.To) {
-				outbox.Add(dl.To, dl.Task, dl.Psi, ls)
-			}
-		}
-		outbox.FlushDue(ls, flush)
-		for _, p := range spawned {
-			select {
-			case stepCh[p] <- stepMsg{local: ls, global: g}:
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		var stepMax int32
-		var feasErr error
-		feasProc := int32(-1)
-		stalled := false
-		unexplained := false
-		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for range spawned {
-			select {
-			case a := <-reports:
-				for _, t := range a.completed {
-					done[t] = true
-					remaining--
-					e.sinceCkpt[a.proc] = append(e.sinceCkpt[a.proc], t)
-				}
-				e.report.MessagesSent += int64(a.sent)
-				ctr.Logical(int(a.sent))
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (feasProc < 0 || a.proc < feasProc) {
-					feasErr, feasProc = a.err, a.proc
-				}
-				if a.stalled {
-					stalled = true
-					if stallTask < 0 || a.stallTask < stallTask {
-						stallTask, stallMiss = a.stallTask, a.stallMiss
-					}
-					if !e.inj.Explains(a.stallMiss, a.proc) {
-						unexplained = true
-					}
-				}
-			case <-ctx.Done():
-				teardown()
-				return remaining, endCompleted, ctx.Err()
-			}
-		}
-		e.report.CommRounds += int64(stepMax)
-		e.globalStep++
-		e.report.StepsExecuted++
-		if feasErr != nil {
-			teardown()
-			return remaining, endCompleted, feasErr
-		}
-		if stalled {
-			teardown()
-			if unexplained {
-				return remaining, endCompleted, fmt.Errorf(
-					"faults: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
-					stallTask, stallMiss, g)
-			}
-			return remaining, endStall, nil
-		}
-	}
-	teardown()
-	return remaining, endCompleted, nil
-}
-
-// workerBatched is one live processor for one epoch on the envelope
-// interconnect: it drains whole envelopes instead of single deliveries,
-// and routes every cross-processor send through the injector at produce
-// time, appending released deliveries to the shared outbox tagged with
-// the consuming task's scheduled (local) step — NoDue when the consumer
-// was already durably done at epoch start.
-func (e *Engine) workerBatched(p int32, byStep map[int32][]sched.TaskID, cur *sched.Schedule,
-	doneStart []bool, outbox *comm.Outbox, inbox []chan *comm.Batch, stepCh <-chan stepMsg,
-	reports chan<- workerAck, compute Compute, psi []float64) {
-
-	inst := e.inst
-	assign := e.rec.Assign()
-	n := int32(inst.N())
-	recv := map[sched.TaskID]float64{}
-	localDone := map[sched.TaskID]bool{}
-	for sm := range stepCh {
-		for {
-			select {
-			case b := <-inbox[p]:
-				for _, it := range b.Items {
-					recv[it.Task] = it.Psi
-				}
-				comm.PutBatch(b)
-				continue
-			default:
-			}
-			break
-		}
-		a := workerAck{proc: p}
-		for _, t := range byStep[sm.local] {
-			v, i := inst.Split(t)
-			d := inst.DAGs[i]
-			base := sched.TaskID(int32(i) * n)
-			inflow := 0.0
-			preds := d.In(v)
-			ok := true
-			for _, u := range preds {
-				ut := base + sched.TaskID(u)
-				switch {
-				case doneStart[ut]:
-					inflow += psi[ut] // durable checkpoint, written in an earlier epoch
-				case assign[u] == p:
-					if !localDone[ut] {
-						a.err = fmt.Errorf("faults: proc %d task %d at step %d: local input %d not done", p, t, sm.global, ut)
-						ok = false
-					} else {
-						inflow += psi[ut]
-					}
-				default:
-					val, have := recv[ut]
-					if !have {
-						a.stalled, a.stallTask, a.stallMiss = true, t, ut
-						ok = false
-					} else {
-						inflow += val
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			if len(preds) > 0 {
-				inflow /= float64(len(preds))
-			}
-			val := compute(t, inflow)
-			psi[t] = val
-			localDone[t] = true
-			a.completed = append(a.completed, t)
-			for _, w := range d.Out(v) {
-				q := assign[w]
-				if q == p {
+				copies := e.inj.OnSend(t, q, val, sm.global)
+				if copies == 0 {
 					continue
 				}
-				a.sent++
 				// The receiver keys received fluxes by producing task, so a
 				// delivery released for this edge can satisfy every consumer
 				// of (t -> q): its deadline is the earliest such consumer's
@@ -761,21 +652,20 @@ func (e *Engine) workerBatched(p int32, byStep map[int32][]sched.TaskID, cur *sc
 				// per-message delivery serves both consumers; the envelope
 				// must arrive just as early.)
 				due := int32(comm.NoDue)
-				for _, w2 := range d.Out(v) {
-					if assign[w2] != q {
-						continue
-					}
-					wt := base + sched.TaskID(w2)
-					if !doneStart[wt] && cur.Start[wt] < due {
-						due = cur.Start[wt]
+				if !e.noBatch {
+					for _, w2 := range d.Out(v) {
+						wt := base + sched.TaskID(w2)
+						if assign[w2] == q && !e.doneStart[wt] && cur.Start[wt] < due {
+							due = cur.Start[wt]
+						}
 					}
 				}
-				for _, dl := range e.inj.OnSend(t, q, val, sm.global) {
-					outbox.Add(dl.To, dl.Task, dl.Psi, due)
+				for ; copies > 0; copies-- {
+					e.deliver(q, t, val, due)
 				}
 			}
 		}
-		reports <- a
+		e.acks <- a
 	}
 }
 
@@ -783,13 +673,13 @@ func (e *Engine) workerBatched(p int32, byStep map[int32][]sched.TaskID, cur *sc
 // last durable checkpoint are rolled back (replayed later), their cells
 // with outstanding work move to the least-loaded survivors (via the
 // shared Recovery core), and the recovery itself acts as a checkpoint for
-// everyone else.
-func (e *Engine) applyCrashes(dying []int32, done []bool, remaining int) int {
+// everyone else. It returns the new count of outstanding tasks.
+func (e *Engine) applyCrashes(dying []int32, remaining int) int {
 	for _, p := range dying {
 		e.inj.NoteCrash()
 		for _, t := range e.sinceCkpt[p] {
-			if done[t] {
-				done[t] = false
+			if e.done[t] {
+				e.done[t] = false
 				remaining++
 				e.report.TasksReplayed++
 				e.col.Counter("faults.tasks_replayed").Inc()
@@ -802,7 +692,7 @@ func (e *Engine) applyCrashes(dying []int32, done []bool, remaining int) int {
 		e.sinceCkpt[p] = e.sinceCkpt[p][:0]
 	}
 	e.lastCkpt = e.globalStep
-	e.rec.Kill(dying, done)
+	e.rec.Kill(dying, e.done)
 	if e.rec.NLive() > 0 {
 		e.needRebuild = true
 	}

@@ -6,9 +6,10 @@
 // A Plan is a deterministic fault scenario derived from a master seed via
 // rng.Source.Substream: the same (schedule, spec, seed) triple always
 // yields the same events, so every failure run is exactly reproducible. An
-// Injector applies a plan to the channel interconnect of the
-// message-passing executors (internal/simulate, internal/transport), and
-// the Engine drives a barrier-synchronous execution with recovery: on a
+// Injector applies a plan to an executor's interconnect, and the Engine —
+// the repository's one in-process executor, which internal/simulate and
+// internal/transport run on with or without a plan — drives a
+// barrier-synchronous execution with recovery: on a
 // detected crash or a missing-flux stall, the coordinator checkpoints the
 // completed-task state, reassigns the dead processor's remaining cells
 // onto the survivors, rebuilds a feasible residual schedule by list

@@ -79,22 +79,22 @@ func TestInjectorMessageEventsFireOnce(t *testing.T) {
 	}
 
 	inj := mk(Drop, 0)
-	if got := inj.OnSend(5, 1, 1.5, 0); got != nil {
-		t.Fatalf("dropped message delivered: %v", got)
+	if got := inj.OnSend(5, 1, 1.5, 0); got != 0 {
+		t.Fatalf("dropped message delivered %d times", got)
 	}
 	if !inj.Explains(5, 1) {
 		t.Fatal("injector does not explain the drop it applied")
 	}
-	if got := inj.OnSend(5, 1, 1.5, 3); len(got) != 1 {
-		t.Fatalf("second send of dropped message got %d deliveries, want 1", len(got))
+	if got := inj.OnSend(5, 1, 1.5, 3); got != 1 {
+		t.Fatalf("second send of dropped message got %d deliveries, want 1", got)
 	}
-	if got := inj.OnSend(6, 1, 1.5, 0); len(got) != 1 || got[0].Psi != 1.5 {
-		t.Fatalf("unaffected message mangled: %v", got)
+	if got := inj.OnSend(6, 1, 1.5, 0); got != 1 {
+		t.Fatalf("unaffected message delivered %d times, want 1", got)
 	}
 
 	inj = mk(Delay, 2)
-	if got := inj.OnSend(5, 1, 2.5, 4); got != nil {
-		t.Fatalf("delayed message delivered immediately: %v", got)
+	if got := inj.OnSend(5, 1, 2.5, 4); got != 0 {
+		t.Fatalf("delayed message delivered immediately %d times", got)
 	}
 	if got := inj.Matured(5); len(got) != 0 {
 		t.Fatalf("delivery matured early: %v", got)
@@ -108,8 +108,8 @@ func TestInjectorMessageEventsFireOnce(t *testing.T) {
 	}
 
 	inj = mk(Duplicate, 0)
-	if got := inj.OnSend(5, 1, 3.5, 0); len(got) != 2 {
-		t.Fatalf("duplicate yielded %d deliveries, want 2", len(got))
+	if got := inj.OnSend(5, 1, 3.5, 0); got != 2 {
+		t.Fatalf("duplicate yielded %d deliveries, want 2", got)
 	}
 	if inj.Applied(Duplicate) != 1 {
 		t.Fatalf("applied count %d, want 1", inj.Applied(Duplicate))
@@ -241,4 +241,57 @@ func TestEngineCancellation(t *testing.T) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	})
+}
+
+// TestEngineWarmSweepAllocsBounded pins the engine's fault-free hot path:
+// once warm, a sweep allocates a bounded number of objects — the epoch's
+// worker goroutines and their bookkeeping — independent of the makespan
+// and the message count, under both delivery policies. Grouping, done
+// flags, received fluxes, inboxes and envelopes are all reused.
+func TestEngineWarmSweepAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; warm-sweep allocations are measured without -race")
+	}
+	small := testSchedule(t, 4, 3)
+	msh := mesh.KuhnBox(mesh.BoxSpec{NX: 5, NY: 5, NZ: 5, Jitter: 0.15, Seed: 3})
+	dirs, err := quadrature.Octant(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sched.NewInstance(msh, dirs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := core.RandomDelayPriorities(inst, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large.Makespan < 2*small.Makespan {
+		t.Fatalf("makespans %d and %d too close to show independence", small.Makespan, large.Makespan)
+	}
+	// A few objects per live processor (worker goroutine and closure)
+	// plus a handful per epoch; the measured count is about 10.
+	const bound = 8*4 + 16
+	for _, noBatch := range []bool{false, true} {
+		for _, s := range []*sched.Schedule{small, large} {
+			eng, err := NewEngine(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetNoBatch(noBatch)
+			psi := make([]float64, s.Inst.NTasks())
+			sweep := func() {
+				if err := eng.Sweep(context.Background(), zeroCompute, psi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sweep() // warm: grouping, maps, inboxes, pooled envelopes
+			allocs := testing.AllocsPerRun(5, sweep)
+			t.Logf("noBatch=%v makespan=%d: %.0f allocs per warm sweep", noBatch, s.Makespan, allocs)
+			if allocs > bound {
+				t.Errorf("noBatch=%v makespan=%d messages/sweep=%d: %.0f allocs per warm sweep, want <= %d",
+					noBatch, s.Makespan, sched.C1(s.Inst, s.Assign, 0), allocs, bound)
+			}
+		}
+	}
 }

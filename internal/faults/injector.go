@@ -20,7 +20,7 @@ type msgKey struct {
 	to   int32
 }
 
-// Injector applies a Plan to the channel interconnect of an executor. The
+// Injector applies a Plan to the interconnect of an executor. The
 // executor routes every cross-processor send through OnSend (which may
 // suppress, hold or duplicate the delivery) and asks Matured at each
 // barrier for held messages that are now due. Worker goroutines call
@@ -106,42 +106,45 @@ func (inj *Injector) NoteSever() {
 }
 
 // OnSend applies the plan to one cross-processor flux message sent at the
-// given global barrier step, returning the deliveries to perform now. A
-// dropped or delayed message yields none (the delayed one surfaces later
-// through Matured); a duplicated one yields two. Each message event fires
-// once — on later sends of the same message (transport re-sweeps the
-// schedule every source iteration) delivery is normal.
-func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) []Delivery {
-	normal := []Delivery{{To: to, Task: task, Psi: psi}}
+// given global barrier step and returns how many copies of it to deliver
+// now: 0 for a dropped or delayed message (the delayed one surfaces later
+// through Matured), 2 for a duplicated one, 1 otherwise. Each message
+// event fires once — on later sends of the same message (transport
+// re-sweeps the schedule every source iteration) delivery is normal.
+// Without a plan it takes no lock and allocates nothing.
+func (inj *Injector) OnSend(task sched.TaskID, to int32, psi float64, step int32) int {
 	if inj.plan == nil {
-		return normal
+		return 1
 	}
 	key := msgKey{task, to}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	e, ok := inj.msg[key]
 	if !ok {
-		return normal
+		return 1
 	}
 	delete(inj.msg, key)
 	inj.consumed[key] = e.Kind
 	inj.applied[e.Kind]++
 	switch e.Kind {
 	case Drop:
-		return nil
+		return 0
 	case Delay:
 		due := step + e.HoldSteps
-		inj.delayed[due] = append(inj.delayed[due], normal[0])
-		return nil
+		inj.delayed[due] = append(inj.delayed[due], Delivery{To: to, Task: task, Psi: psi})
+		return 0
 	case Duplicate:
-		return []Delivery{normal[0], normal[0]}
+		return 2
 	}
-	return normal
+	return 1
 }
 
 // Matured removes and returns every held delivery due at or before the
 // given global step, in deterministic (task, to) order.
 func (inj *Injector) Matured(step int32) []Delivery {
+	if inj.plan == nil {
+		return nil
+	}
 	inj.mu.Lock()
 	var due []Delivery
 	for st, ds := range inj.delayed {
@@ -151,12 +154,14 @@ func (inj *Injector) Matured(step int32) []Delivery {
 		}
 	}
 	inj.mu.Unlock()
-	sort.Slice(due, func(a, b int) bool {
-		if due[a].Task != due[b].Task {
-			return due[a].Task < due[b].Task
-		}
-		return due[a].To < due[b].To
-	})
+	if len(due) > 1 {
+		sort.Slice(due, func(a, b int) bool {
+			if due[a].Task != due[b].Task {
+				return due[a].Task < due[b].Task
+			}
+			return due[a].To < due[b].To
+		})
+	}
 	return due
 }
 
@@ -165,7 +170,7 @@ func (inj *Injector) Matured(step int32) []Delivery {
 // are read from the durable checkpoint instead.
 func (inj *Injector) DiscardDelayed() {
 	inj.mu.Lock()
-	inj.delayed = map[int32][]Delivery{}
+	clear(inj.delayed)
 	inj.mu.Unlock()
 }
 

@@ -880,11 +880,13 @@ func (o *orch) route(t sched.TaskID, psi float64, from int32, assign sched.Assig
 			continue
 		}
 		sent++
+		copies := o.inj.OnSend(t, q, psi, g)
+		if !o.rec.Live(q) {
+			continue
+		}
 		if o.noBatch {
-			for _, dl := range o.inj.OnSend(t, q, psi, g) {
-				if o.rec.Live(dl.To) {
-					o.pending[dl.To] = append(o.pending[dl.To], dl)
-				}
+			for ; copies > 0; copies-- {
+				o.pending[q] = append(o.pending[q], faults.Delivery{To: q, Task: t, Psi: psi})
 			}
 			continue
 		}
@@ -902,10 +904,8 @@ func (o *orch) route(t sched.TaskID, psi float64, from int32, assign sched.Assig
 				due = o.epochStart[ut]
 			}
 		}
-		for _, dl := range o.inj.OnSend(t, q, psi, g) {
-			if o.rec.Live(dl.To) {
-				o.outbox.Add(dl.To, dl.Task, dl.Psi, due)
-			}
+		for ; copies > 0; copies-- {
+			o.outbox.Add(q, t, psi, due)
 		}
 	}
 	return sent

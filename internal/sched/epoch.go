@@ -2,13 +2,11 @@ package sched
 
 import "fmt"
 
-// This file holds the epoch-grouping helpers every barrier-synchronous
-// executor shares: the goroutine simulator (internal/simulate), the
-// parallel transport solver (internal/transport), the fault-injected
-// engine (internal/faults) and the multi-process runner
-// (internal/procrun) all partition a schedule the same way — tasks per
-// (processor, step), and exact inbox capacities so interconnect sends
-// never block a barrier.
+// This file holds the epoch-grouping helpers of the barrier-synchronous
+// executors: the multi-process runner (internal/procrun) partitions a
+// schedule into tasks per (processor, step) with GroupSteps, and both it
+// and the in-process engine (internal/faults) size interconnect buffers
+// with CrossIncoming so sends never block a barrier.
 
 // GroupSteps groups the schedule's not-yet-done tasks by (processor,
 // start step), preserving TaskID order within each group. assign

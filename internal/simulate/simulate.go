@@ -1,14 +1,17 @@
 // Package simulate executes a sweep schedule on a simulated distributed
-// machine: one goroutine per processor, buffered channels as the
-// interconnect, and a barrier-synchronous step loop. It is the executable
-// counterpart of the paper's simulation methodology — every precedence is
-// enforced by an actual message arriving (or local completion), so a
-// schedule that validates here would run correctly on a real cluster with
-// the same task placement.
+// machine: one goroutine per processor, a channel interconnect, and a
+// barrier-synchronous step loop. It is the executable counterpart of the
+// paper's simulation methodology — every precedence is enforced by an
+// actual message arriving (or local completion), so a schedule that
+// validates here would run correctly on a real cluster with the same task
+// placement.
 //
-// The simulator doubles as a cross-check of the analytic objective
-// functions: it recounts total messages (= C1) and per-step maximum
-// send-degrees (summing to C2) from the messages that actually flow.
+// The machine is the repository's one in-process executor,
+// faults.Engine, with a zero-cost compute: Run is RunFaulty without a
+// fault plan. The simulator doubles as a cross-check of the analytic
+// objective functions: it recounts total messages (= C1) and per-step
+// maximum send-degrees (summing to C2) from the messages that actually
+// flow.
 //
 // Run rejects infeasible schedules with a descriptive error; RunCtx adds
 // cooperative cancellation (the coordinator observes ctx between barrier
@@ -19,8 +22,6 @@ package simulate
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"sweepsched/internal/faults"
 	"sweepsched/internal/sched"
@@ -31,17 +32,6 @@ type Result struct {
 	Steps         int   // barrier steps executed (== schedule makespan when fault-free)
 	TotalMessages int64 // messages sent across processors (== C1)
 	CommRounds    int64 // Σ_step max_p (messages sent by p at that step) == C2
-}
-
-type message struct {
-	task sched.TaskID
-}
-
-type stepReport struct {
-	proc     int32
-	sent     int32 // cross-processor messages sent at this step
-	maxPeers int32
-	err      error // infeasibility detected at this step, nil if ok
 }
 
 // Run executes the schedule. It returns an error if any task would run
@@ -55,156 +45,17 @@ func Run(s *sched.Schedule) (*Result, error) {
 // one barrier step of cancellation, after joining every worker goroutine
 // (no leaks, no blocked channel sends).
 func RunCtx(ctx context.Context, s *sched.Schedule) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-
-	// Group tasks by (processor, step) and size inboxes with the exact
-	// per-processor incoming message counts, so that sends never block
-	// (avoiding coordinator/worker deadlock). Both partitions are the
-	// shared barrier-executor helpers (sched.GroupSteps/CrossIncoming).
-	steps := s.Makespan
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	incoming := sched.CrossIncoming(inst, s.Assign, nil)
-	inbox := make([]chan message, m)
-	for p := range inbox {
-		inbox[p] = make(chan message, incoming[p]+1)
-	}
-
-	stepCh := make([]chan int32, m)
-	for p := range stepCh {
-		stepCh[p] = make(chan int32)
-	}
-	reports := make(chan stepReport, m)
-
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			worker(inst, s, int32(p), perProcStep[p], inbox, stepCh[p], reports)
-		}(p)
-	}
-	teardown := func() {
-		for p := 0; p < m; p++ {
-			close(stepCh[p])
-		}
-		wg.Wait()
-	}
-
-	res := &Result{Steps: steps}
-	for st := int32(0); st < int32(steps); st++ {
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				teardown()
-				return nil, ctx.Err()
-			}
-		}
-		// Collect every worker's report for the step before moving on —
-		// even after an error — so no worker is abandoned mid-send and the
-		// reported error is deterministic (lowest processor id wins).
-		var stepMax int32
-		var stepErr error
-		errProc := int32(-1)
-		for p := 0; p < m; p++ {
-			select {
-			case rep := <-reports:
-				res.TotalMessages += int64(rep.sent)
-				if rep.maxPeers > stepMax {
-					stepMax = rep.maxPeers
-				}
-				if rep.err != nil && (errProc < 0 || rep.proc < errProc) {
-					stepErr, errProc = rep.err, rep.proc
-				}
-			case <-ctx.Done():
-				teardown()
-				return nil, ctx.Err()
-			}
-		}
-		if stepErr != nil {
-			teardown()
-			return nil, stepErr
-		}
-		res.CommRounds += int64(stepMax)
-	}
-	teardown()
-	return res, nil
-}
-
-// worker is one simulated processor. Per step it drains its inbox, checks
-// every input of every task scheduled now, "executes" them, and sends
-// fluxes to downstream off-processor tasks. It reports exactly once per
-// step — a detected infeasibility travels in the report, so the
-// coordinator always knows when a step's workers are fully drained.
-func worker(inst *sched.Instance, s *sched.Schedule, p int32,
-	byStep map[int32][]sched.TaskID, inbox []chan message,
-	stepCh <-chan int32, reports chan<- stepReport) {
-
-	n := int32(inst.N())
-	doneLocal := make(map[sched.TaskID]bool)
-	received := make(map[sched.TaskID]bool)
-
-	for st := range stepCh {
-		// Drain everything that arrived up to the last barrier.
-		for {
-			select {
-			case msg := <-inbox[p]:
-				received[msg.task] = true
-				continue
-			default:
-			}
-			break
-		}
-		rep := stepReport{proc: p}
-		for _, t := range byStep[st] {
-			v, i := inst.Split(t)
-			d := inst.DAGs[i]
-			base := sched.TaskID(i * n)
-			ok := true
-			for _, u := range d.In(v) {
-				ut := base + sched.TaskID(u)
-				if s.Assign[u] == p {
-					if !doneLocal[ut] {
-						rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: local input %d not done", p, t, st, ut)
-						ok = false
-					}
-				} else if !received[ut] {
-					rep.err = fmt.Errorf("simulate: proc %d task %d at step %d: flux from task %d not received", p, t, st, ut)
-					ok = false
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-			doneLocal[t] = true
-			for _, w := range d.Out(v) {
-				q := s.Assign[w]
-				if q == p {
-					continue
-				}
-				inbox[q] <- message{task: t}
-				rep.sent++
-			}
-		}
-		rep.maxPeers = rep.sent
-		reports <- rep
-	}
+	res, _, err := RunFaulty(ctx, s, nil)
+	return res, err
 }
 
 // RunFaulty executes the schedule under an injected fault plan with
 // checkpointed recovery (internal/faults): crashed processors' cells are
 // rescheduled onto survivors, dropped and delayed fluxes are reread from
 // the durable checkpoint after a recovery reschedule. The Result counts
-// what actually flowed (replays included), so with an empty plan it equals
-// Run's C1/C2 accounting exactly; the RecoveryReport is byte-for-byte
-// reproducible for a fixed plan.
+// what actually flowed (replays included), so with a nil plan it is Run's
+// C1/C2 accounting; the RecoveryReport is byte-for-byte reproducible for
+// a fixed plan.
 func RunFaulty(ctx context.Context, s *sched.Schedule, plan *faults.Plan) (*Result, *faults.RecoveryReport, error) {
 	eng, err := faults.NewEngine(s, plan)
 	if err != nil {

@@ -9,10 +9,11 @@ import (
 	"sweepsched/internal/verify"
 )
 
-// SolveFaultTolerant runs the source iteration on the fault-injected
-// distributed executor (internal/faults): one goroutine per live
+// SolveFaultTolerant runs the source iteration on the in-process
+// distributed executor (faults.Engine): one goroutine per live
 // processor, the channel interconnect wrapped by the plan's injector, and
-// checkpointed recovery rescheduling on crashes and lost fluxes. Message
+// checkpointed recovery rescheduling on crashes and lost fluxes. A nil
+// plan is the fault-free run, which SolveParallel is. Message
 // fault events fire on the first sweep that sends the affected flux;
 // crashes are permanent, so later iterations keep running on the recovered
 // schedule.

@@ -11,22 +11,30 @@
 // upwind neighbors in direction i, and nothing else, before it can be
 // solved.
 //
-// Two executors are provided, and they produce bitwise-identical fluxes:
+// There is one serial solver and one parallel executor core, and they
+// produce bitwise-identical fluxes:
 //
-//   - Solve: serial, walking tasks in schedule start order.
-//   - SolveParallel: one goroutine per processor of the schedule's
-//     assignment, exchanging cross-processor angular fluxes through
-//     channels in barrier-synchronous steps — a faithful miniature of the
-//     distributed sweep the schedule would drive on a real cluster.
+//   - Solve: serial, walking tasks in schedule start order. It is the
+//     independent oracle every other executor is tested against.
+//   - SolveFaultTolerant: the in-process executor (faults.Engine) — one
+//     goroutine per processor of the schedule's assignment, exchanging
+//     cross-processor angular fluxes over a channel interconnect in
+//     barrier-synchronous steps, a faithful miniature of the distributed
+//     sweep the schedule would drive on a real cluster, with checkpointed
+//     recovery from an injected fault plan. SolveParallel is the same
+//     engine without a plan.
+//
+// The interconnect is a policy of that one core, not a second executor:
+// deadline-driven per-destination envelopes by default (internal/comm),
+// or one transmission per message with Config.NoBatch, the differential
+// oracle. internal/procrun runs the same sweep across OS processes.
 package transport
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
-	"sweepsched/internal/comm"
 	"sweepsched/internal/obs"
 	"sweepsched/internal/sched"
 	"sweepsched/internal/verify"
@@ -291,18 +299,12 @@ func SolveCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, erro
 	return res, nil
 }
 
-// fluxMsg carries one task's angular flux to a downstream processor.
-type fluxMsg struct {
-	task sched.TaskID
-	psi  float64
-}
-
-// SolveParallel runs the same source iteration with one goroutine per
-// processor, following the schedule step by step. Cross-processor angular
-// fluxes travel through buffered channels; a coordinator barrier separates
-// steps (messages sent during step t are drained before step t+1, so every
-// upwind flux is present when needed — the schedule guarantees the
-// ordering). The result is bitwise-identical to Solve.
+// SolveParallel runs the same source iteration on the repository's one
+// in-process executor (faults.Engine): one goroutine per processor,
+// following the schedule step by step, with cross-processor angular
+// fluxes traveling over the engine's channel interconnect between
+// barrier-separated steps. It is SolveFaultTolerant without a fault plan,
+// and its result is bitwise-identical to Solve.
 func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 	return SolveParallelCtx(context.Background(), s, cfg)
 }
@@ -316,421 +318,9 @@ func SolveParallel(s *sched.Schedule, cfg Config) (*Result, error) {
 // envelopes (internal/comm): a sender's flux is held in the destination's
 // open envelope until the barrier before its earliest consumer's step,
 // so one transmission carries many messages. Config.NoBatch selects the
-// frozen per-message interconnect instead — the differential oracle the
+// per-message delivery policy instead — the differential oracle the
 // batched path is tested against. Both are bitwise-identical to Solve.
 func SolveParallelCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	inst := s.Inst
-	if err := cfg.validateFor(inst); err != nil {
-		return nil, err
-	}
-	if cfg.verifyOn() {
-		if err := verify.Schedule(inst, s, verify.Opts{}); err != nil {
-			return nil, fmt.Errorf("transport: schedule failed the audit: %w", err)
-		}
-	}
-	if cfg.NoBatch {
-		return solveParallelUnbatched(ctx, s, cfg)
-	}
-	return solveParallelBatched(ctx, s, cfg)
-}
-
-// solveParallelUnbatched is the per-message interconnect: one channel
-// send per logical cross-processor flux, delivered the step it is
-// produced. Kept verbatim (plus traffic accounting) as the oracle for
-// the batched path — never deleted.
-func solveParallelUnbatched(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-	n := int32(inst.N())
-	nt := inst.NTasks()
-
-	// Group tasks per processor per step (TaskID order preserved) and size
-	// inboxes with the exact incoming cross-edge counts, via the shared
-	// barrier-executor helpers.
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	incoming := sched.CrossIncoming(inst, s.Assign, nil)
-	inbox := make([]chan fluxMsg, m)
-	stepCh := make([]chan int32, m)
-	for p := 0; p < m; p++ {
-		inbox[p] = make(chan fluxMsg, incoming[p]+1)
-		stepCh[p] = make(chan int32)
-	}
-	type procAck struct {
-		proc int32
-		sent int32 // cross-processor messages sent this step
-		err  error
-	}
-	acks := make(chan procAck, m)
-
-	phi := make([]float64, inst.N())
-	psi := make([]float64, nt) // shared: disjoint per-task writes, barrier-separated reads
-
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			compute := CellBalance(inst, cfg, phi)
-			recvPsi := map[sched.TaskID]float64{}
-			for st := range stepCh[p] {
-				if st < 0 {
-					// New iteration: reset received fluxes.
-					for k := range recvPsi {
-						delete(recvPsi, k)
-					}
-					acks <- procAck{proc: p}
-					continue
-				}
-				for {
-					select {
-					case msg := <-inbox[p]:
-						recvPsi[msg.task] = msg.psi
-						continue
-					default:
-					}
-					break
-				}
-				var stepErr error
-				var sent int32
-				for _, t := range perProcStep[p][st] {
-					v, i := inst.Split(t)
-					d := inst.DAGs[i]
-					base := int32(i) * n
-					inflow := 0.0
-					preds := d.In(v)
-					ok := true
-					for _, u := range preds {
-						ut := sched.TaskID(base + u)
-						var up float64
-						if s.Assign[u] == p {
-							up = psi[ut] // written by this goroutine earlier
-						} else {
-							val, have := recvPsi[ut]
-							if !have {
-								stepErr = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ut, st)
-								ok = false
-								break
-							}
-							up = val
-						}
-						inflow += up
-					}
-					if !ok {
-						break
-					}
-					if len(preds) > 0 {
-						inflow /= float64(len(preds))
-					}
-					val := compute(t, inflow)
-					psi[base+v] = val
-					for _, w := range d.Out(v) {
-						if qp := s.Assign[w]; qp != p {
-							inbox[qp] <- fluxMsg{task: sched.TaskID(base + v), psi: val}
-							sent++
-						}
-					}
-				}
-				acks <- procAck{proc: p, sent: sent, err: stepErr}
-			}
-		}(int32(p))
-	}
-
-	res := &Result{}
-	// barrier sends one control value to every worker and collects every
-	// ack — even after an error, so no worker is abandoned mid-step — and
-	// reports the lowest-processor error for determinism. Cancellation is
-	// observed at every channel interaction. Acks also carry each worker's
-	// cross-message count, folded into Result.Comm (Rounds adds the step's
-	// per-processor maximum, the observed analogue of C2).
-	barrier := func(st int32) error {
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		var firstErr error
-		errProc := int32(-1)
-		var stepMax int32
-		for p := 0; p < m; p++ {
-			select {
-			case a := <-acks:
-				res.Comm.Messages += int64(a.sent)
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (errProc < 0 || a.proc < errProc) {
-					firstErr, errProc = a.err, a.proc
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		res.Comm.Rounds += int64(stepMax)
-		return firstErr
-	}
-	runIteration := func() error {
-		if err := barrier(-1); err != nil { // reset received fluxes
-			return err
-		}
-		for st := int32(0); st < int32(s.Makespan); st++ {
-			if err := barrier(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var solveErr error
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := runIteration(); err != nil {
-			solveErr = err
-			break
-		}
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	for p := 0; p < m; p++ {
-		close(stepCh[p])
-	}
-	wg.Wait()
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	// Per-message cost model: one transmission per logical message.
-	res.Comm.Batches = res.Comm.Messages
-	res.Comm.Bytes = comm.PerMessageWireBytes(int(res.Comm.Messages))
-	ctr := comm.NewCounters(cfg.Collector)
-	ctr.Logical(int(res.Comm.Messages))
-	ctr.PerMessage(int(res.Comm.Messages))
-	res.Phi = phi
-	return res, nil
-}
-
-// solveParallelBatched is the deadline-driven envelope interconnect. The
-// workers share one comm.Outbox: a completed task's flux is appended to
-// the destination processor's open envelope tagged with the consumer's
-// scheduled start step, and the barrier coordinator — the only moment all
-// senders are quiescent — flushes exactly the envelopes whose earliest
-// deadline is the step about to open. One transmission thus carries every
-// flux the destination needs next step, accumulated across all senders
-// and all prior steps. The flux values, their production order per
-// processor, and Result.Comm.{Messages,Rounds} are bitwise-identical to
-// the unbatched oracle; only Batches/Bytes (the transmission count and
-// wire cost) differ.
-func solveParallelBatched(ctx context.Context, s *sched.Schedule, cfg Config) (*Result, error) {
-	inst := s.Inst
-	m := inst.M
-	n := int32(inst.N())
-	nt := inst.NTasks()
-
-	perProcStep, err := sched.GroupSteps(s, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	outbox := comm.NewOutbox(m)
-	// At most one envelope is in flight per destination per barrier (the
-	// outbox holds a single open envelope per destination), so capacity 2
-	// keeps the coordinator's flush nonblocking with margin.
-	inbox := make([]chan *comm.Batch, m)
-	stepCh := make([]chan int32, m)
-	for p := 0; p < m; p++ {
-		inbox[p] = make(chan *comm.Batch, 2)
-		stepCh[p] = make(chan int32)
-	}
-	type procAck struct {
-		proc int32
-		sent int32 // logical cross-processor messages produced this step
-		err  error
-	}
-	acks := make(chan procAck, m)
-
-	phi := make([]float64, inst.N())
-	psi := make([]float64, nt) // shared: disjoint per-task writes, barrier-separated reads
-
-	var wg sync.WaitGroup
-	for p := 0; p < m; p++ {
-		wg.Add(1)
-		go func(p int32) {
-			defer wg.Done()
-			compute := CellBalance(inst, cfg, phi)
-			recvPsi := map[sched.TaskID]float64{}
-			drain := func() {
-				for {
-					select {
-					case b := <-inbox[p]:
-						for _, it := range b.Items {
-							recvPsi[it.Task] = it.Psi
-						}
-						comm.PutBatch(b)
-						continue
-					default:
-					}
-					break
-				}
-			}
-			for st := range stepCh[p] {
-				if st < 0 {
-					// New iteration: reset received fluxes (and, defensively,
-					// recycle any envelope still in the channel).
-					drain()
-					for k := range recvPsi {
-						delete(recvPsi, k)
-					}
-					acks <- procAck{proc: p}
-					continue
-				}
-				// The coordinator flushed every due envelope before opening
-				// this step, so a nonblocking drain sees them all.
-				drain()
-				var stepErr error
-				var sent int32
-				for _, t := range perProcStep[p][st] {
-					v, i := inst.Split(t)
-					d := inst.DAGs[i]
-					base := int32(i) * n
-					inflow := 0.0
-					preds := d.In(v)
-					ok := true
-					for _, u := range preds {
-						ut := sched.TaskID(base + u)
-						var up float64
-						if s.Assign[u] == p {
-							up = psi[ut] // written by this goroutine earlier
-						} else {
-							val, have := recvPsi[ut]
-							if !have {
-								stepErr = fmt.Errorf("transport: proc %d missing flux for task %d at step %d", p, ut, st)
-								ok = false
-								break
-							}
-							up = val
-						}
-						inflow += up
-					}
-					if !ok {
-						break
-					}
-					if len(preds) > 0 {
-						inflow /= float64(len(preds))
-					}
-					val := compute(t, inflow)
-					psi[base+v] = val
-					for _, w := range d.Out(v) {
-						if qp := s.Assign[w]; qp != p {
-							// One logical message per cross edge, due at the
-							// consumer's scheduled start step.
-							outbox.Add(qp, sched.TaskID(base+v), val, s.Start[base+w])
-							sent++
-						}
-					}
-				}
-				acks <- procAck{proc: p, sent: sent, err: stepErr}
-			}
-		}(int32(p))
-	}
-
-	res := &Result{}
-	ctr := comm.NewCounters(cfg.Collector)
-	flush := func(b *comm.Batch) {
-		res.Comm.Batches++
-		res.Comm.Bytes += comm.BatchWireBytes(len(b.Items))
-		ctr.Envelope(len(b.Items))
-		inbox[b.To] <- b
-	}
-	barrier := func(st int32) error {
-		if st >= 0 {
-			// All workers are quiescent between barriers: ship exactly the
-			// envelopes whose earliest consumer runs at the opening step.
-			outbox.FlushDue(st, flush)
-		}
-		for p := 0; p < m; p++ {
-			select {
-			case stepCh[p] <- st:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		var firstErr error
-		errProc := int32(-1)
-		var stepMax int32
-		for p := 0; p < m; p++ {
-			select {
-			case a := <-acks:
-				res.Comm.Messages += int64(a.sent)
-				if a.sent > stepMax {
-					stepMax = a.sent
-				}
-				if a.err != nil && (errProc < 0 || a.proc < errProc) {
-					firstErr, errProc = a.err, a.proc
-				}
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		res.Comm.Rounds += int64(stepMax)
-		return firstErr
-	}
-	runIteration := func() error {
-		if err := barrier(-1); err != nil { // reset received fluxes
-			return err
-		}
-		for st := int32(0); st < int32(s.Makespan); st++ {
-			if err := barrier(st); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var solveErr error
-	for iter := 1; iter <= cfg.MaxIters; iter++ {
-		if err := runIteration(); err != nil {
-			solveErr = err
-			break
-		}
-		res.Residual = UpdatePhi(inst, psi, phi, cfg)
-		res.Iterations = iter
-		if res.Residual < cfg.Tol {
-			res.Converged = true
-			break
-		}
-	}
-	for p := 0; p < m; p++ {
-		close(stepCh[p])
-	}
-	wg.Wait()
-	// Every cross edge's consumer starts before Makespan, so a completed
-	// iteration leaves the outbox empty; on an error or cancellation path,
-	// recycle whatever is still open or in flight.
-	outbox.DiscardAll()
-	for p := 0; p < m; p++ {
-		for {
-			select {
-			case b := <-inbox[p]:
-				comm.PutBatch(b)
-				continue
-			default:
-			}
-			break
-		}
-	}
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	ctr.Logical(int(res.Comm.Messages))
-	res.Phi = phi
-	return res, nil
+	res, _, err := SolveFaultTolerant(ctx, s, cfg, nil)
+	return res, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"sweepsched/internal/core"
 	"sweepsched/internal/dag"
+	"sweepsched/internal/leakcheck"
 	"sweepsched/internal/mesh"
 	"sweepsched/internal/quadrature"
 	"sweepsched/internal/rng"
@@ -183,6 +184,17 @@ func TestSolveRejectsCorruptSchedule(t *testing.T) {
 	}
 	if _, err := Solve(s, testCfg); err == nil {
 		t.Fatal("corrupt schedule accepted")
+	}
+	// The parallel executor must reject it too, under both delivery
+	// policies, and join every worker on the way out.
+	for _, noBatch := range []bool{false, true} {
+		cfg := testCfg
+		cfg.NoBatch = noBatch
+		leakcheck.Check(t, func() {
+			if _, err := SolveParallel(s, cfg); err == nil {
+				t.Errorf("noBatch=%v: SolveParallel accepted the corrupt schedule", noBatch)
+			}
+		})
 	}
 }
 
