@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check ci race resilience procfault fuzz bench bench-dag bench-angleset bench-weighted bench-comm bench-record benchstat bench-smoke perfbench verify service loadtest loadtest-smoke
+.PHONY: check ci race resilience procfault fuzz bench bench-dag bench-angleset bench-weighted bench-comm bench-record benchstat bench-smoke perfbench perfbench-test verify service loadtest loadtest-smoke
 
 check:
 	$(GO) build ./... && $(GO) test ./...
@@ -118,6 +118,11 @@ bench-record:
 PERFBENCH_ARGS ?= --workload pipeline --seed 1 --seconds 55 --trace 0
 perfbench:
 	bash perfbench/run.sh $(PERFBENCH_ARGS)
+
+# The benchmark's own tests (perfbench is a separate module, so
+# `go test ./...` at the root does not reach it; ci.sh runs these too).
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # One iteration of every benchmark in the repo — a compile-and-run smoke
 # pass (also part of ci.sh), not a measurement.

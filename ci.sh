@@ -39,6 +39,11 @@ echo "== procfault: kill -9 a real worker process, recover bitwise =="
 # bit for bit and the /proc scan must find no orphaned workers.
 go test -race -count=1 -timeout 300s ./internal/procrun
 
+echo "== perfbench: the repository benchmark's own tests (make perfbench-test) =="
+# perfbench is its own module (replace sweepsched => ../), outside the
+# root ./... pattern; vet and test it from its directory.
+(cd perfbench && go vet . && go test .)
+
 echo "== benchmark smoke (1 iteration each) =="
 # Compile-and-run pass over every benchmark: catches bit-rot in the
 # kernel benchmarks (and their zero-alloc assertions use the same paths)

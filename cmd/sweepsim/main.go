@@ -292,6 +292,8 @@ func main() {
 				fatal(fmt.Errorf("procrun: recovered flux differs from serial solve in %d of %d cells", mismatch, len(pres.Phi)))
 			}
 			if *doStats {
+				fmt.Printf("procrun windows: %d schedule steps in %d orchestrator round trips (procrun.steps, procrun.syncs)\n",
+					col.Counter("procrun.steps").Value(), col.Counter("procrun.syncs").Value())
 				fmt.Println("-- merged worker stats --")
 				if err := pres.Merged.WriteText(os.Stdout); err != nil {
 					fatal(err)

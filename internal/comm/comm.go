@@ -125,6 +125,19 @@ func (o *Outbox) FlushDue(now int32, send func(b *Batch)) {
 	}
 }
 
+// NextDue returns the earliest deadline among the open envelopes (NoDue
+// if none is open) — the next step at which FlushDue will send anything.
+// Like FlushDue it runs with all senders quiescent.
+func (o *Outbox) NextDue() int32 {
+	next := int32(NoDue)
+	for _, b := range o.slots {
+		if b != nil {
+			next = min(next, b.MinDue)
+		}
+	}
+	return next
+}
+
 // DiscardAll returns every open envelope to the pool without sending
 // (epoch teardown: completed producers' fluxes are re-read from the
 // durable state after recovery, so undelivered envelopes are moot).

@@ -113,14 +113,10 @@ type Engine struct {
 	// back between steps. doneStart is done at epoch start: those fluxes
 	// are durable and read straight from psi.
 	done, doneStart []bool
-	// grouped is the schedule order/procOff were built for (nil after a
-	// recovery replaces the schedule): processor p runs
-	// order[procOff[p]:procOff[p+1]], sorted by (start step, task id).
+	// grouped is the schedule groups was built for (nil after a recovery
+	// replaces the schedule): processor p runs groups.Proc(p).
 	grouped *sched.Schedule
-	order   []sched.TaskID
-	procOff []int32
-	scratch []sched.TaskID // counting-sort scratch
-	stepOff []int32        // counting-sort scratch, one slot per step or processor
+	groups  sched.StepGroups
 	// recv[p] holds the cross fluxes p received this epoch, keyed by
 	// producing task; it is cleared, not reallocated, per epoch.
 	recv   []map[sched.TaskID]float64
@@ -199,9 +195,6 @@ func NewEngine(s *sched.Schedule, plan *Plan) (*Engine, error) {
 		ckptEvery: Spec{}.withDefaults().CheckpointEvery,
 		done:      make([]bool, nt),
 		doneStart: make([]bool, nt),
-		order:     make([]sched.TaskID, nt),
-		scratch:   make([]sched.TaskID, nt),
-		procOff:   make([]int32, m+1),
 		recv:      make([]map[sched.TaskID]float64, m),
 		inbox:     make([]chan *comm.Batch, m),
 		outbox:    comm.NewOutbox(m),
@@ -322,53 +315,8 @@ func (e *Engine) group(cur *sched.Schedule) error {
 	if cur == e.grouped {
 		return nil
 	}
-	inst := e.inst
-	m := inst.M
-	assign := e.rec.Assign()
-	T := int32(cur.Makespan)
-	if need := max(int(T)+1, m); cap(e.stepOff) < need {
-		e.stepOff = make([]int32, need)
-	}
-	// Two stable counting-sort passes: tasks by start step into
-	// scratch, then by processor into order.
-	byStart := e.stepOff[:T+1]
-	clear(byStart)
-	clear(e.procOff)
-	nt := inst.NTasks()
-	count := 0
-	for t := 0; t < nt; t++ {
-		if e.done[t] {
-			continue
-		}
-		st := cur.Start[t]
-		if st < 0 || st >= T {
-			return fmt.Errorf("faults: task %d is scheduled at step %d, outside the schedule's %d steps", t, st, T)
-		}
-		byStart[st+1]++
-		v, _ := inst.Split(sched.TaskID(t))
-		e.procOff[assign[v]+1]++
-		count++
-	}
-	for st := int32(1); st <= T; st++ {
-		byStart[st] += byStart[st-1]
-	}
-	for p := 1; p <= m; p++ {
-		e.procOff[p] += e.procOff[p-1]
-	}
-	for t := 0; t < nt; t++ {
-		if !e.done[t] {
-			st := cur.Start[t]
-			e.scratch[byStart[st]] = sched.TaskID(t)
-			byStart[st]++
-		}
-	}
-	next := e.stepOff[:m] // next free slot per processor
-	copy(next, e.procOff[:m])
-	for _, t := range e.scratch[:count] {
-		v, _ := inst.Split(t)
-		p := assign[v]
-		e.order[next[p]] = t
-		next[p]++
+	if err := e.groups.Group(cur, e.rec.Assign(), e.done); err != nil {
+		return err
 	}
 	e.grouped = cur
 
@@ -387,7 +335,7 @@ func (e *Engine) group(cur *sched.Schedule) error {
 	if e.inj.plan != nil {
 		slack += 2 * len(e.inj.plan.Events)
 	}
-	for p, in := range sched.CrossIncoming(inst, assign, nil) {
+	for p, in := range sched.CrossIncoming(e.inst, e.rec.Assign(), nil) {
 		if cap(e.inbox[p]) < in+slack {
 			e.inbox[p] = make(chan *comm.Batch, in+slack)
 		}
@@ -588,7 +536,7 @@ func (e *Engine) worker(p int32, cur *sched.Schedule, compute Compute, psi []flo
 	inst := e.inst
 	assign := e.rec.Assign()
 	n := int32(inst.N())
-	tasks := e.order[e.procOff[p]:e.procOff[p+1]]
+	tasks := e.groups.Proc(p)
 	recv := e.recv[p]
 	clear(recv)
 	for {

@@ -9,6 +9,14 @@
 // the converged flux remains bitwise-identical to the serial
 // transport.Solve, because recovery replays lost tasks with identical
 // inputs through the shared cell-balance closure.
+//
+// The orchestrator drives the schedule in step windows: one fStep frame
+// runs a worker through consecutive steps up to the next step at which
+// a per-step barrier would have to act (a flux deadline or a
+// checkpoint), and one fAck returns all of the window's completions,
+// which the orchestrator then books step by step. Round trips scale
+// with the schedule's communication, not its makespan. A run with a
+// fault plan or the NoBatch interconnect uses one-step windows.
 package procrun
 
 import (
@@ -19,6 +27,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"time"
 
@@ -165,7 +174,18 @@ type orch struct {
 	sweepLog [][]sched.TaskID    // per rank: completions this sweep, for disk-authority rollback
 	pending  [][]faults.Delivery // NoBatch: deliveries awaiting per-message fFlux frames
 	lastStep [][]byte            // per rank: the fStep frame in flight, for resend after a transient drop
-	lastFlux [][]comm.Item       // NoBatch: per rank, this step's fFlux items, replayed on a resend
+	lastFlux [][]comm.Item       // NoBatch: per rank, this window's fFlux items, replayed on a resend
+	acks     []stepAck           // per rank: the window's decoded ack
+	cursor   []int               // replayWindow's per-worker completion cursor
+	ackBuf   [][]comm.Item       // per rank: ack completions scratch, reused across windows
+
+	// Step windows (see windowEnd): the epoch's task grouping and the
+	// earliest consumer step of the cross fluxes each step produces.
+	// oneStep pins every window to one step: a run with a fault plan or
+	// the NoBatch interconnect.
+	groups  sched.StepGroups
+	minDue  []int32
+	oneStep bool
 
 	// Batched interconnect (default): deadline-driven per-destination
 	// envelopes that ride inside step frames, plus the epoch-start state
@@ -179,9 +199,8 @@ type orch struct {
 	commTx     int64 // physical flux transmissions (envelopes, or frames when NoBatch)
 	commBy     int64 // wire-model bytes across those transmissions
 
-	scratch []byte      // sweep/epoch payload builder, reused across frames
-	fluxBuf []byte      // fFlux frame payload builder (NoBatch)
-	ackBuf  []comm.Item // step-ack completions scratch, reused across acks
+	scratch []byte // sweep/epoch payload builder, reused across frames
+	fluxBuf []byte // fFlux frame payload builder (NoBatch)
 }
 
 // Run executes the schedule's source iteration across spec.M real worker
@@ -250,7 +269,11 @@ func Run(ctx context.Context, s *sched.Schedule, spec ProblemSpec, cfg transport
 		pending:  make([][]faults.Delivery, inst.M),
 		lastStep: make([][]byte, inst.M),
 		lastFlux: make([][]comm.Item, inst.M),
+		acks:     make([]stepAck, inst.M),
+		cursor:   make([]int, inst.M),
+		ackBuf:   make([][]comm.Item, inst.M),
 
+		oneStep:   cfg.NoBatch || (plan != nil && len(plan.Events) > 0),
 		noBatch:   cfg.NoBatch,
 		outbox:    comm.NewOutbox(inst.M),
 		stepBatch: make([]*comm.Batch, inst.M),
@@ -549,12 +572,11 @@ func (o *orch) broadcastAck(typ uint8, payload []byte) error {
 }
 
 func ackError(payload []byte) string {
-	d := dec{b: payload}
-	d.fluxItems(nil) // completions section
-	d.u8()
-	d.i32()
-	d.i32()
-	return d.str()
+	var a stepAck
+	if err := decodeAck(payload, nil, &a); err != nil {
+		return err.Error()
+	}
+	return a.errMsg
 }
 
 func (o *orch) liveWorkers() []*workerProc {
@@ -577,19 +599,20 @@ const (
 
 // runEpoch drives the schedule's not-done tasks to completion, a crash,
 // or a stall — the barrier loop of faults.Engine.runEpoch with frames in
-// place of channels. Planned kills and severs fire at their barrier,
-// before the step frame goes out, so a victim completes steps strictly
-// before its fault step and every rerun of the plan sees identical state.
+// place of channels, one round trip per step window (see windowEnd).
+// Planned kills and severs fire at their barrier (faulty runs use
+// one-step windows), before the step frame goes out, so a victim completes steps strictly before its
+// fault step and every rerun of the plan sees identical state.
 func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, remaining int) (int, epochEnd, error) {
 	o.report.Epochs++
 	o.col.Counter("procrun.epochs").Inc()
 	o.col.Gauge("procrun.live_procs").Set(int64(o.rec.NLive()))
 	assign := o.rec.Assign()
 
-	// Workers derive their own per-step groups from the epoch frame; the
+	// Workers derive their own task order from the epoch frame; the
 	// orchestrator runs the same grouping once for validation (it rejects
 	// unscheduled tasks before any frame goes out).
-	if _, err := sched.GroupSteps(cur, assign, done); err != nil {
+	if err := o.groups.Group(cur, assign, done); err != nil {
 		return remaining, endCompleted, fmt.Errorf("procrun: internal: %w", err)
 	}
 	// Envelope deadlines are computed against the epoch-start schedule and
@@ -597,6 +620,7 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 	// durable when the epoch's grouping was fixed.
 	o.epochStart = cur.Start
 	o.epochDone = append(o.epochDone[:0], done...)
+	o.planWindows(cur, assign)
 	defer func() {
 		for p := range o.pending {
 			o.pending[p] = o.pending[p][:0]
@@ -616,7 +640,8 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 	}
 
 	live := o.liveWorkers()
-	for ls := int32(0); ls < int32(cur.Makespan); ls++ {
+	makespan := int32(cur.Makespan)
+	for ls := int32(0); ls < makespan; {
 		if err := ctx.Err(); err != nil {
 			return remaining, endCompleted, err
 		}
@@ -648,9 +673,8 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 			}
 		}
 
-		ckpt := uint8(0)
-		if g-o.lastCkpt >= o.opts.CkptEvery {
-			ckpt = 1
+		ckpt := g-o.lastCkpt >= o.opts.CkptEvery
+		if ckpt {
 			o.lastCkpt = g
 		}
 		for _, dl := range o.inj.Matured(g) {
@@ -670,39 +694,32 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 		if !o.noBatch {
 			o.outbox.FlushDue(ls, func(b *comm.Batch) { o.stepBatch[b.To] = b })
 		}
+		win := o.windowEnd(ls, g, makespan) - ls
 
 		var lost []int32
-		var acked []*workerProc // workers that received this step's frame
+		var acked []*workerProc // workers that received this window's frame
 		for _, w := range live {
-			e := enc{b: o.lastStep[w.rank][:0]}
-			e.i32(ls)
-			e.i32(g)
-			e.u8(ckpt)
-			if b := o.stepBatch[w.rank]; b != nil {
-				appendFluxBatch(&e, b.Items)
+			f := stepFrame{local: ls, global: g, window: win, ckpt: ckpt}
+			b := o.stepBatch[w.rank]
+			if b != nil {
+				f.deliv = b.Items
 				o.ctr.Envelope(len(b.Items))
 				o.commTx++
 				o.commBy += comm.BatchWireBytes(len(b.Items))
+			}
+			e := enc{b: o.lastStep[w.rank][:0]}
+			appendStep(&e, &f)
+			o.lastStep[w.rank] = e.b
+			if b != nil {
 				comm.PutBatch(b)
 				o.stepBatch[w.rank] = nil
-			} else {
-				e.u32(0)
 			}
-			o.lastStep[w.rank] = e.b
 			if o.noBatch {
-				items := o.lastFlux[w.rank][:0]
-				for _, dl := range o.pending[w.rank] {
-					items = append(items, comm.Item{Task: dl.Task, Psi: dl.Psi})
-				}
-				o.lastFlux[w.rank] = items
-				o.pending[w.rank] = o.pending[w.rank][:0]
-				o.ctr.PerMessage(len(items))
-				o.commTx += int64(len(items))
-				o.commBy += comm.PerMessageWireBytes(len(items))
+				o.stageFlux(w.rank)
 			}
 			if err := o.sendStep(w); err != nil {
 				// The link died mid-epoch without a plan event: unplanned
-				// crash. Workers that did get the frame still run the step
+				// crash. Workers that did get the frame still run the window
 				// and their acks are collected below, keeping the stream
 				// free of stale frames.
 				lost = append(lost, w.rank)
@@ -710,51 +727,55 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 			}
 			acked = append(acked, w)
 		}
+		o.col.Counter("procrun.syncs").Inc()
 
-		var stepMax int32
+		// Every worker ran the window up to its first stall or error; the
+		// barrier semantics end at the earliest such step, where the
+		// per-step executor would have ended the epoch.
+		end := ls + win
+		ok := acked[:0]
+		for _, w := range acked {
+			a := &o.acks[w.rank]
+			if err := o.readAck(w, a); err != nil {
+				lost = append(lost, w.rank)
+				continue
+			}
+			if a.ran == 0 && a.errMsg != "" { // the worker rejected the frame
+				return remaining, endCompleted, fmt.Errorf("procrun: rank %d failed step window: %s", w.rank, a.errMsg)
+			}
+			if err := checkAck(a, ls, win, w.rank, cur.Start, assign); err != nil {
+				return remaining, endCompleted, fmt.Errorf("procrun: rank %d: %w", w.rank, err)
+			}
+			if a.stopped() {
+				end = min(end, ls+a.ran)
+			}
+			ok = append(ok, w)
+		}
+		remaining = o.replayWindow(ok, ls, end, cur.Start, done, remaining, assign)
+
 		var feasErr error
 		feasProc := int32(-1)
 		stalled := false
 		unexplained := false
 		stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-		for _, w := range acked {
-			ack, err := o.readAck(w)
-			if err != nil {
-				lost = append(lost, w.rank)
+		for _, w := range ok {
+			a := &o.acks[w.rank]
+			if !a.stopped() || ls+a.ran != end {
 				continue
 			}
-			var sent int32
-			for _, c := range ack.completed {
-				if !done[c.Task] {
-					done[c.Task] = true
-					remaining--
-				}
-				o.psi[c.Task] = c.Psi
-				o.sweepLog[w.rank] = append(o.sweepLog[w.rank], c.Task)
-				sent += o.route(c.Task, c.Psi, w.rank, assign, g)
+			if a.errMsg != "" && (feasProc < 0 || w.rank < feasProc) {
+				feasErr, feasProc = errors.New(a.errMsg), w.rank
 			}
-			o.report.MessagesSent += int64(sent)
-			o.ctr.Logical(int(sent))
-			if sent > stepMax {
-				stepMax = sent
-			}
-			if ack.errMsg != "" && (feasProc < 0 || w.rank < feasProc) {
-				feasErr, feasProc = errors.New(ack.errMsg), w.rank
-			}
-			if ack.stalled {
+			if a.stalled {
 				stalled = true
-				if stallTask < 0 || ack.stallTask < stallTask {
-					stallTask, stallMiss = ack.stallTask, ack.stallMiss
+				if stallTask < 0 || a.stallTask < stallTask {
+					stallTask, stallMiss = a.stallTask, a.stallMiss
 				}
-				if !o.inj.Explains(ack.stallMiss, w.rank) {
+				if !o.inj.Explains(a.stallMiss, w.rank) {
 					unexplained = true
 				}
 			}
 		}
-		o.report.CommRounds += int64(stepMax)
-		o.globalStep++
-		o.report.StepsExecuted++
-		o.col.Counter("procrun.steps").Inc()
 		if len(lost) > 0 {
 			remaining = o.applyKills(lost, done, remaining)
 			return remaining, endCrash, nil
@@ -766,12 +787,107 @@ func (o *orch) runEpoch(ctx context.Context, cur *sched.Schedule, done []bool, r
 			if unexplained {
 				return remaining, endCompleted, fmt.Errorf(
 					"procrun: task %d stalled on flux from task %d at step %d with no injected fault to blame: schedule is infeasible",
-					stallTask, stallMiss, g)
+					stallTask, stallMiss, o.globalStep-1)
 			}
 			return remaining, endStall, nil
 		}
+		ls = end
 	}
 	return remaining, endCompleted, nil
+}
+
+// replayWindow books the acked completions of the steps [ls, end) one
+// step at a time, workers in rank order within a step — the order the
+// per-step executor saw them in. Each completion is routed with its own
+// global step, so fault injection, the per-step maximum behind
+// CommRounds, the step counters and the rollback log keep their
+// per-step meaning. Completions past end (a worker that ran on after
+// another one stopped) are not booked.
+func (o *orch) replayWindow(ok []*workerProc, ls, end int32, start []int32, done []bool, remaining int, assign sched.Assignment) int {
+	next := o.cursor[:len(ok)]
+	clear(next)
+	for s := ls; s < end; s++ {
+		g := o.globalStep
+		var stepMax int32
+		for k, w := range ok {
+			items := o.acks[w.rank].completed
+			var sent int32
+			for ; next[k] < len(items) && start[items[next[k]].Task] == s; next[k]++ {
+				c := items[next[k]]
+				if !done[c.Task] {
+					done[c.Task] = true
+					remaining--
+				}
+				o.psi[c.Task] = c.Psi
+				o.sweepLog[w.rank] = append(o.sweepLog[w.rank], c.Task)
+				sent += o.route(c.Task, c.Psi, w.rank, assign, g)
+			}
+			o.report.MessagesSent += int64(sent)
+			o.ctr.Logical(int(sent))
+			stepMax = max(stepMax, sent)
+		}
+		o.report.CommRounds += int64(stepMax)
+		o.globalStep++
+		o.report.StepsExecuted++
+		o.col.Counter("procrun.steps").Inc()
+	}
+	return remaining
+}
+
+// planWindows precomputes an epoch's flux deadlines: minDue[s] is the
+// earliest start of a not-done cross-processor consumer of a task
+// scheduled at step s, the deadline of the fluxes step s produces.
+func (o *orch) planWindows(cur *sched.Schedule, assign sched.Assignment) {
+	if o.oneStep {
+		return
+	}
+	inst := o.inst
+	o.minDue = slices.Grow(o.minDue[:0], cur.Makespan)[:cur.Makespan]
+	for s := range o.minDue {
+		o.minDue[s] = comm.NoDue
+	}
+	done, start := o.epochDone, cur.Start
+	n := inst.N()
+	for t := range done {
+		if done[t] {
+			continue
+		}
+		v, i := inst.Split(sched.TaskID(t))
+		base := sched.TaskID(int(i) * n)
+		st := start[t]
+		for _, u := range inst.DAGs[i].Out(v) {
+			if ut := base + sched.TaskID(u); assign[u] != assign[v] && !done[ut] && start[ut] < o.minDue[st] {
+				o.minDue[st] = start[ut]
+			}
+		}
+	}
+}
+
+// windowEnd returns the exclusive end of the step window opening at
+// local step ls (global step g): the first later step at which a
+// per-step executor would have to act. That is the nearest of the epoch
+// end; the deadline of any envelope already queued (comm.Outbox.NextDue)
+// or of any flux the window itself produces (minDue); and the next
+// periodic checkpoint. Windows are never empty, and nothing in them
+// depends on a flux produced inside them, so a window runs without the
+// orchestrator. A run with a fault plan or the NoBatch interconnect
+// (oneStep) uses one-step windows: planned faults act at arbitrary
+// barriers, and NoBatch sends every flux at the next barrier.
+func (o *orch) windowEnd(ls, g, makespan int32) int32 {
+	if o.oneStep {
+		return ls + 1
+	}
+	// The global step of the epoch end or of the next checkpoint; c > g
+	// guards against an int32 overflow of the checkpoint step.
+	next := g + (makespan - ls)
+	if c := o.lastCkpt + o.opts.CkptEvery; c > g {
+		next = min(next, c)
+	}
+	end := min(ls+(next-g), o.outbox.NextDue())
+	for s := ls; s < end; s++ {
+		end = min(end, max(o.minDue[s], s+1))
+	}
+	return max(end, ls+1)
 }
 
 // sendEpoch ships an epoch's schedule and durable state to every live
@@ -803,7 +919,7 @@ func (o *orch) sendStep(w *workerProc) error {
 	return o.writeStepFrames(w)
 }
 
-// writeStepFrames ships one barrier's traffic to a worker. The batched
+// writeStepFrames ships one window's traffic to a worker. The batched
 // interconnect sends exactly one frame — any due envelope already rides
 // inside the prepared step frame. NoBatch precedes the (empty-section)
 // step frame with one fFlux frame per pending message, the per-message
@@ -821,54 +937,56 @@ func (o *orch) writeStepFrames(w *workerProc) error {
 	return w.conn.writeFrame(fStep, o.lastStep[w.rank], 5*time.Second)
 }
 
-type stepAck struct {
-	completed            []comm.Item
-	stalled              bool
-	stallTask, stallMiss sched.TaskID
-	errMsg               string
+// stageFlux moves rank q's pending deliveries into its fFlux items and
+// counts their transmissions (NoBatch).
+func (o *orch) stageFlux(q int32) {
+	items := o.lastFlux[q][:0]
+	for _, dl := range o.pending[q] {
+		items = append(items, comm.Item{Task: dl.Task, Psi: dl.Psi})
+	}
+	o.lastFlux[q] = items
+	o.pending[q] = o.pending[q][:0]
+	o.ctr.PerMessage(len(items))
+	o.commTx += int64(len(items))
+	o.commBy += comm.PerMessageWireBytes(len(items))
 }
 
-// readAck collects one step acknowledgement, riding out one transient
-// reconnect by resending the in-flight step frames. The returned
-// completions alias a scratch buffer reused on the next readAck, so the
-// caller must consume them first (the ack loop does).
-func (o *orch) readAck(w *workerProc) (*stepAck, error) {
+// readAck collects one window acknowledgement into a, riding out one
+// transient reconnect by resending the in-flight step frames. The
+// decoded completions alias the rank's scratch buffer, reused on its
+// next window.
+func (o *orch) readAck(w *workerProc, a *stepAck) error {
 	typ, payload, err := o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
 	if err != nil {
 		if !o.awaitRejoin(w) {
-			return nil, err
+			return err
 		}
 		if err := o.writeStepFrames(w); err != nil {
-			return nil, err
+			return err
 		}
 		typ, payload, err = o.readSkippingHeartbeats(w, o.opts.HeartbeatTimeout)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if typ != fAck {
-		return nil, fmt.Errorf("procrun: rank %d replied %s to step", w.rank, frameName(typ))
+		return fmt.Errorf("procrun: rank %d replied %s to step", w.rank, frameName(typ))
 	}
-	d := dec{b: payload}
-	a := &stepAck{}
-	a.completed = d.fluxItems(o.ackBuf)
+	err = decodeAck(payload, o.ackBuf[w.rank], a)
 	if a.completed != nil {
-		o.ackBuf = a.completed
+		o.ackBuf[w.rank] = a.completed
 	}
-	a.stalled = d.u8() == 1
-	a.stallTask = sched.TaskID(d.i32())
-	a.stallMiss = sched.TaskID(d.i32())
-	a.errMsg = d.str()
-	return a, d.err
+	return err
 }
 
 // route fans a completed task's flux out along its cross-processor
 // edges, applying the fault plan per message — injection happens at
 // produce time in both interconnects, so a planned fault hits the same
-// logical message either way. NoBatch queues each surviving delivery for
-// its own fFlux frame next step; the batched path adds it to the
-// destination's envelope with a deadline, and the envelope rides a step
-// frame only when that deadline arrives.
+// logical message either way. g is the global step the task ran at.
+// NoBatch queues each surviving delivery for its own fFlux frame at the
+// next window; the batched path adds it to the destination's envelope
+// with a deadline, and the envelope rides a step frame only when that
+// deadline arrives.
 func (o *orch) route(t sched.TaskID, psi float64, from int32, assign sched.Assignment, g int32) int32 {
 	v, i := o.inst.Split(t)
 	out := o.inst.DAGs[i].Out(v)

@@ -30,8 +30,8 @@ const (
 	fSetupOK                    // worker → orch: instance shape echo (n, k, m)
 	fSweep                      // orch → worker: iteration number + scalar flux
 	fEpoch                      // orch → worker: epoch schedule + durable state
-	fStep                       // orch → worker: one barrier step + matured deliveries
-	fAck                        // worker → orch: step completions / stall / error
+	fStep                       // orch → worker: a window of barrier steps + the fluxes due at its first
+	fAck                        // worker → orch: the window's completions / stall / error
 	fOK                         // worker → orch: generic acknowledgement
 	fHeartbeat                  // worker → orch: liveness (any time)
 	fSnapReq                    // orch → worker: request metrics snapshot
@@ -81,7 +81,7 @@ func frameName(t uint8) string {
 // write mutex, so the worker's heartbeat goroutine can interleave with
 // its frame replies without corrupting the stream. Both directions reuse
 // grow-only scratch buffers — the hot exchange (a step frame and its ack
-// every barrier) allocates nothing once the buffers are warm.
+// every window) allocates nothing once the buffers are warm.
 type wireConn struct {
 	c  net.Conn
 	wm sync.Mutex
@@ -191,7 +191,15 @@ type dec struct {
 
 func (d *dec) fail() {
 	if d.err == nil {
-		d.err = fmt.Errorf("procrun: truncated frame at byte %d of %d", d.off, len(d.b))
+		d.err = fmt.Errorf("%w: truncated at byte %d of %d", ErrMalformedFrame, d.off, len(d.b))
+	}
+}
+
+// end rejects bytes trailing the last decoded field, so a payload is
+// accepted only in the exact layout its encoder writes.
+func (d *dec) end() {
+	if d.err == nil && d.off != len(d.b) {
+		d.err = fmt.Errorf("%w: %d bytes trail the payload", ErrMalformedFrame, len(d.b)-d.off)
 	}
 }
 func (d *dec) u8() uint8 {
@@ -322,15 +330,26 @@ func encodeFluxBatch(buf []byte, items []comm.Item) []byte {
 	return e.b
 }
 
-// fluxItems decodes one flux-batch section into the reusable items slice.
+// fluxItems decodes one flux-batch section into the reusable items
+// slice. A count beyond frame capacity fails with ErrOversizedBatch and
+// a section shorter than its count with ErrTruncatedBatch.
 func (d *dec) fluxItems(into []comm.Item) []comm.Item {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > maxBatchItems || d.off+comm.ItemBytes*n > len(d.b) {
-		d.fail()
+	if d.err == nil && d.off+comm.BatchHeaderBytes > len(d.b) {
+		d.err = fmt.Errorf("%w: %d bytes left for the item count", ErrTruncatedBatch, len(d.b)-d.off)
+	}
+	n := d.u32()
+	switch {
+	case d.err != nil:
+		return nil
+	case n > maxBatchItems:
+		d.err = fmt.Errorf("%w: %d items exceeds frame capacity %d", ErrOversizedBatch, n, maxBatchItems)
+		return nil
+	case d.off+comm.ItemBytes*int(n) > len(d.b):
+		d.err = fmt.Errorf("%w: %d items need %d bytes, have %d", ErrTruncatedBatch, n, comm.ItemBytes*int(n), len(d.b)-d.off)
 		return nil
 	}
 	items := into[:0]
-	for i := 0; i < n; i++ {
+	for i := uint32(0); i < n; i++ {
 		t := sched.TaskID(d.i32())
 		items = append(items, comm.Item{Task: t, Psi: d.f64()})
 	}
@@ -343,24 +362,171 @@ func (d *dec) fluxItems(into []comm.Item) []comm.Item {
 // beyond frame capacity — or bytes trailing the declared items — is
 // ErrOversizedBatch. into is reused when it has capacity.
 func decodeFluxBatch(b []byte, into []comm.Item) ([]comm.Item, error) {
-	if len(b) < comm.BatchHeaderBytes {
-		return nil, fmt.Errorf("%w: %d-byte payload has no item count", ErrTruncatedBatch, len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > maxBatchItems {
-		return nil, fmt.Errorf("%w: %d items exceeds frame capacity %d", ErrOversizedBatch, n, maxBatchItems)
-	}
-	want := comm.BatchHeaderBytes + comm.ItemBytes*int(n)
-	if len(b) < want {
-		return nil, fmt.Errorf("%w: %d items need %d bytes, have %d", ErrTruncatedBatch, n, want, len(b))
-	}
-	if len(b) > want {
-		return nil, fmt.Errorf("%w: %d bytes trail the %d declared items", ErrOversizedBatch, len(b)-want, n)
-	}
 	d := dec{b: b}
 	items := d.fluxItems(into)
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncatedBatch, d.err)
+		return nil, d.err
+	}
+	if d.off != len(b) {
+		return nil, fmt.Errorf("%w: %d bytes trail the %d declared items", ErrOversizedBatch, len(b)-d.off, len(items))
 	}
 	return items, nil
+}
+
+// Step windows. One fStep frame opens a window of consecutive barrier
+// steps [local, local+window) of the current epoch, and one fAck answers
+// it:
+//
+//	fStep: i32 local, i32 global, i32 window, u8 checkpoint, flux section
+//	fAck:  i32 ran, flux section (completions), u8 stalled,
+//	       i32 stall task, i32 stall miss, str error
+//
+// The flux section of fStep carries the envelopes due at the window's
+// first step; the checkpoint flag asks for a durable shard before that
+// step runs. The worker runs the window's steps in order and stops after
+// the first step on which a task stalls or fails; ran counts the steps
+// it ran, that one included, and the completions come in step order.
+var (
+	// ErrMalformedFrame reports a frame whose fixed fields end early or
+	// that carries bytes past its last field.
+	ErrMalformedFrame = errors.New("procrun: malformed frame")
+	// ErrBadWindow reports a step window that does not fit the epoch
+	// (empty, negative or past the makespan), a flux for a task the
+	// instance does not have, or an ack that does not fit the window it
+	// answers.
+	ErrBadWindow = errors.New("procrun: frame does not fit the step window")
+)
+
+// stepFrame is one decoded fStep payload.
+type stepFrame struct {
+	local, global, window int32
+	ckpt                  bool
+	deliv                 []comm.Item
+}
+
+// appendStep appends an fStep payload to the builder.
+func appendStep(e *enc, f *stepFrame) {
+	e.i32(f.local)
+	e.i32(f.global)
+	e.i32(f.window)
+	if f.ckpt {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+	appendFluxBatch(e, f.deliv)
+}
+
+// decodeStep decodes an fStep payload, reusing into for the deliveries.
+// A checkpoint flag other than 0 or 1 is malformed, so every accepted
+// payload re-encodes to itself.
+func decodeStep(b []byte, into []comm.Item) (stepFrame, error) {
+	d := dec{b: b}
+	var f stepFrame
+	f.local, f.global, f.window = d.i32(), d.i32(), d.i32()
+	switch c := d.u8(); {
+	case d.err != nil:
+	case c > 1:
+		d.err = fmt.Errorf("%w: checkpoint flag %d", ErrMalformedFrame, c)
+	default:
+		f.ckpt = c == 1
+	}
+	f.deliv = d.fluxItems(into)
+	d.end()
+	return f, d.err
+}
+
+// checkWindow is the worker's guard on a decoded step frame: the window
+// is non-empty, lies inside the epoch's makespan, and every delivery
+// names a task of the instance.
+func checkWindow(f *stepFrame, makespan int32, ntasks int) error {
+	if f.local < 0 || f.window < 1 || f.local > makespan-f.window {
+		return fmt.Errorf("%w: steps [%d, %d+%d) in an epoch of %d", ErrBadWindow, f.local, f.local, f.window, makespan)
+	}
+	return checkTasks(f.deliv, ntasks)
+}
+
+// checkTasks rejects a flux for a task the instance does not have.
+func checkTasks(items []comm.Item, ntasks int) error {
+	for _, it := range items {
+		if it.Task < 0 || int(it.Task) >= ntasks {
+			return fmt.Errorf("%w: flux for task %d of %d", ErrBadWindow, it.Task, ntasks)
+		}
+	}
+	return nil
+}
+
+// stepAck is one decoded fAck payload.
+type stepAck struct {
+	ran                  int32
+	completed            []comm.Item
+	stalled              bool
+	stallTask, stallMiss sched.TaskID
+	errMsg               string
+}
+
+// stopped reports whether the worker ended the window early.
+func (a *stepAck) stopped() bool { return a.stalled || a.errMsg != "" }
+
+// appendAck appends an fAck payload to the builder.
+func appendAck(e *enc, a *stepAck) {
+	e.i32(a.ran)
+	appendFluxBatch(e, a.completed)
+	if a.stalled {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
+	e.i32(int32(a.stallTask))
+	e.i32(int32(a.stallMiss))
+	e.str(a.errMsg)
+}
+
+// decodeAck decodes an fAck payload into a, reusing into for the
+// completions (the decoded slice aliases it).
+func decodeAck(b []byte, into []comm.Item, a *stepAck) error {
+	d := dec{b: b}
+	a.ran = d.i32()
+	a.completed = d.fluxItems(into)
+	switch st := d.u8(); {
+	case d.err != nil:
+	case st > 1:
+		d.err = fmt.Errorf("%w: stall flag %d", ErrMalformedFrame, st)
+	default:
+		a.stalled = st == 1
+	}
+	a.stallTask = sched.TaskID(d.i32())
+	a.stallMiss = sched.TaskID(d.i32())
+	a.errMsg = d.str()
+	d.end()
+	return d.err
+}
+
+// checkAck is the orchestrator's guard on a decoded ack for the window
+// [local, local+window) sent to rank: ran lies in [1, window] and covers
+// the whole window unless the worker stopped; every completion is a task
+// of rank (task t is cell t mod len(assign)) that starts inside the steps
+// it ran, in step order; and a stall names a task of its last step. The
+// orchestrator indexes its arrays with these tasks only after this check.
+func checkAck(a *stepAck, local, window, rank int32, start []int32, assign sched.Assignment) error {
+	if a.ran < 1 || a.ran > window || (a.ran < window && !a.stopped()) {
+		return fmt.Errorf("%w: ran %d steps of a %d-step window (stopped: %v)", ErrBadWindow, a.ran, window, a.stopped())
+	}
+	n := sched.TaskID(len(assign))
+	inTask := func(t sched.TaskID) bool { return t >= 0 && int(t) < len(start) }
+	last := local
+	for _, c := range a.completed {
+		if !inTask(c.Task) || assign[c.Task%n] != rank {
+			return fmt.Errorf("%w: completion of task %d, not on rank %d", ErrBadWindow, c.Task, rank)
+		}
+		st := start[c.Task]
+		if st < last || st >= local+a.ran {
+			return fmt.Errorf("%w: task %d at step %d, out of order in steps [%d, %d)", ErrBadWindow, c.Task, st, local, local+a.ran)
+		}
+		last = st
+	}
+	if a.stalled && (!inTask(a.stallTask) || start[a.stallTask] != local+a.ran-1) {
+		return fmt.Errorf("%w: stall on task %d, not in the last step run", ErrBadWindow, a.stallTask)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,8 +79,8 @@ type worker struct {
 	ctr         comm.Counters // receive-side comm.* accounting (deterministic per plan)
 
 	fluxBuf []comm.Item // decode scratch for flux sections, reused per frame
-	compBuf []comm.Item // this step's completions, reused per step
-	ackb    []byte      // ack payload builder, reused per step
+	compBuf []comm.Item // this window's completions, reused per window
+	ackb    []byte      // ack payload builder, reused per window
 
 	// sweep state (reset by fSweep)
 	iter     int32
@@ -88,14 +89,19 @@ type worker struct {
 	logTasks []sched.TaskID // cumulative completions this sweep, in completion order
 	logPsi   []float64
 
-	// epoch state (reset by fEpoch)
+	// epoch state (reset by fEpoch); the per-task slices are dense over
+	// the instance's tasks and reused across epochs
 	epoch     int32
+	makespan  int32
 	assign    sched.Assignment
-	byStep    map[int32][]sched.TaskID
+	start     []int32 // nil until the first epoch
+	groups    sched.StepGroups
+	mine      []sched.TaskID // this rank's not-done tasks in (start, id) order
 	doneStart []bool
 	psi       []float64
-	recv      map[sched.TaskID]float64
-	localDone map[sched.TaskID]bool
+	recv      []float64 // cross fluxes received this epoch, by producing task
+	have      []bool    // recv[t] holds a received flux
+	localDone []bool
 }
 
 func (w *worker) current() *wireConn {
@@ -205,11 +211,7 @@ func (w *worker) run() error {
 			// Protocol/state errors are fatal: report upstream best-effort
 			// and die loudly rather than desynchronize the barrier.
 			var e enc
-			e.u32(0)
-			e.u8(0)
-			e.i32(-1)
-			e.i32(-1)
-			e.str(err.Error())
+			appendAck(&e, &stepAck{stallTask: -1, stallMiss: -1, errMsg: err.Error()})
 			w.current().writeFrame(fAck, e.b, 2*time.Second)
 			return err
 		}
@@ -316,7 +318,7 @@ func (w *worker) onSweep(payload []byte) (func() error, error) {
 func (w *worker) onEpoch(payload []byte) (func() error, error) {
 	d := dec{b: payload}
 	w.epoch = d.i32()
-	makespan := int(d.u32())
+	makespan := d.u32()
 	assign := d.i32s()
 	start := d.i32s()
 	done := d.bools()
@@ -327,69 +329,86 @@ func (w *worker) onEpoch(payload []byte) (func() error, error) {
 	if w.inst == nil {
 		return nil, fmt.Errorf("procrun: epoch before setup")
 	}
-	if len(assign) != w.inst.N() || len(start) != w.inst.NTasks() ||
-		len(done) != w.inst.NTasks() || len(psi) != w.inst.NTasks() {
+	// The task grouping keeps one counter per step, so a makespan is
+	// held to what the largest frame could carry.
+	nt := w.inst.NTasks()
+	if len(assign) != w.inst.N() || len(start) != nt || len(done) != nt || len(psi) != nt || makespan > maxFrame/4 {
 		return nil, fmt.Errorf("procrun: epoch frame shapes do not match the instance")
 	}
 	w.assign = sched.Assignment(assign)
-	s := &sched.Schedule{Inst: w.inst, Assign: w.assign, Start: start, Makespan: makespan}
-	groups, err := sched.GroupSteps(s, w.assign, done)
-	if err != nil {
+	s := &sched.Schedule{Inst: w.inst, Assign: w.assign, Start: start, Makespan: int(makespan)}
+	if err := w.groups.Group(s, w.assign, done); err != nil {
 		return nil, err
 	}
-	w.byStep = groups[w.rank]
+	w.mine = w.groups.Proc(w.rank)
+	w.makespan = int32(makespan)
+	w.start = start
 	w.doneStart = done
 	w.psi = psi
-	w.recv = map[sched.TaskID]float64{}
-	w.localDone = map[sched.TaskID]bool{}
+	if len(w.recv) != nt {
+		w.recv = make([]float64, nt)
+		w.have = make([]bool, nt)
+		w.localDone = make([]bool, nt)
+	} else {
+		clear(w.have)
+		clear(w.localDone)
+	}
 	w.col.Counter("proc.epochs").Inc()
 	return w.okReply(), nil
 }
 
+// receive merges decoded fluxes into the epoch's receive set.
+func (w *worker) receive(items []comm.Item) {
+	for _, it := range items {
+		w.recv[it.Task] = it.Psi
+		w.have[it.Task] = true
+	}
+}
+
 // onFlux merges one standalone flux frame (the NoBatch interconnect's
 // per-message transmissions) into the receive set. No reply: the step
-// frame that follows carries the ack for the whole barrier.
+// frame that follows carries the ack for the whole window.
 func (w *worker) onFlux(payload []byte) (func() error, error) {
-	if w.recv == nil {
+	if w.start == nil {
 		return nil, fmt.Errorf("procrun: flux before epoch")
 	}
 	items, err := decodeFluxBatch(payload, w.fluxBuf)
 	if err != nil {
 		return nil, err
 	}
-	for _, it := range items {
-		w.recv[it.Task] = it.Psi
-	}
 	if items != nil {
 		w.fluxBuf = items
 	}
+	if err := checkTasks(items, len(w.recv)); err != nil {
+		return nil, err
+	}
+	w.receive(items)
 	w.ctr.Logical(len(items))
 	w.ctr.PerMessage(len(items))
 	return func() error { return nil }, nil
 }
 
-// onStep runs one barrier step: durable checkpoint if flagged (before
-// executing, so the shard covers completions strictly before this
-// step), the step frame's flux envelope into the receive set, then this
-// step's tasks.
+// onStep runs one window of barrier steps: durable checkpoint if flagged
+// (before executing, so the shard covers completions strictly before
+// the window), the frame's flux envelope into the receive set, then the
+// window's steps in order until the first stall or error.
 func (w *worker) onStep(payload []byte) (func() error, error) {
-	d := dec{b: payload}
-	local := d.i32()
-	global := d.i32()
-	ckpt := d.u8() == 1
-	delivs := d.fluxItems(w.fluxBuf)
-	if d.err != nil {
-		return nil, d.err
+	f, err := decodeStep(payload, w.fluxBuf)
+	if err != nil {
+		return nil, err
 	}
-	if delivs != nil {
-		w.fluxBuf = delivs
+	if f.deliv != nil {
+		w.fluxBuf = f.deliv
 	}
-	if w.byStep == nil {
+	if w.start == nil || w.compute == nil {
 		return nil, fmt.Errorf("procrun: step before epoch")
 	}
-	if ckpt {
+	if err := checkWindow(&f, w.makespan, len(w.recv)); err != nil {
+		return nil, err
+	}
+	if f.ckpt {
 		ck := &faults.Checkpoint{
-			Rank: w.rank, Iter: w.iter, Epoch: w.epoch, Step: global,
+			Rank: w.rank, Iter: w.iter, Epoch: w.epoch, Step: f.global,
 			Tasks: w.logTasks, Psi: w.logPsi,
 		}
 		if _, err := faults.WriteDurable(w.ckptDir, ck); err != nil {
@@ -397,79 +416,63 @@ func (w *worker) onStep(payload []byte) (func() error, error) {
 		}
 		w.col.Counter("proc.checkpoints").Inc()
 	}
-	for _, dl := range delivs {
-		w.recv[dl.Task] = dl.Psi
-	}
-	if n := len(delivs); n > 0 {
+	w.receive(f.deliv)
+	if n := len(f.deliv); n > 0 {
 		w.ctr.Logical(n)
 		w.ctr.Envelope(n)
 	}
 
-	completed := w.compBuf[:0]
-	stalled := false
-	stallTask, stallMiss := sched.TaskID(-1), sched.TaskID(-1)
-	errMsg := ""
+	a := stepAck{completed: w.compBuf[:0], stallTask: -1, stallMiss: -1}
 	inst := w.inst
 	n := int32(inst.N())
-	for _, t := range w.byStep[local] {
-		v, i := inst.Split(t)
-		dag := inst.DAGs[i]
-		base := sched.TaskID(int32(i) * n)
-		inflow := 0.0
-		preds := dag.In(v)
-		ok := true
-		for _, u := range preds {
-			ut := base + sched.TaskID(u)
-			switch {
-			case w.doneStart[ut]:
-				inflow += w.psi[ut] // durable value from an earlier epoch
-			case w.assign[u] == w.rank:
-				if !w.localDone[ut] {
-					errMsg = fmt.Sprintf("procrun: rank %d task %d at step %d: local input %d not done", w.rank, t, global, ut)
-					ok = false
-				} else {
+	// The window's first task: a resent window starts over at its step.
+	next := sort.Search(len(w.mine), func(i int) bool { return w.start[w.mine[i]] >= f.local })
+	for ls := f.local; ls < f.local+f.window && !a.stopped(); ls++ {
+		a.ran++
+		w.col.Counter("proc.steps").Inc()
+	run:
+		for ; next < len(w.mine) && w.start[w.mine[next]] == ls; next++ {
+			t := w.mine[next]
+			v, i := inst.Split(t)
+			dag := inst.DAGs[i]
+			base := sched.TaskID(int32(i) * n)
+			inflow := 0.0
+			preds := dag.In(v)
+			for _, u := range preds {
+				ut := base + sched.TaskID(u)
+				switch {
+				case w.doneStart[ut]:
+					inflow += w.psi[ut] // durable value from an earlier epoch
+				case w.assign[u] == w.rank:
+					if !w.localDone[ut] {
+						a.errMsg = fmt.Sprintf("procrun: rank %d task %d at step %d: local input %d not done", w.rank, t, f.global+ls-f.local, ut)
+						break run
+					}
 					inflow += w.psi[ut]
-				}
-			default:
-				val, have := w.recv[ut]
-				if !have {
-					stalled, stallTask, stallMiss = true, t, ut
-					ok = false
-				} else {
-					inflow += val
+				default:
+					if !w.have[ut] {
+						a.stalled, a.stallTask, a.stallMiss = true, t, ut
+						break run
+					}
+					inflow += w.recv[ut]
 				}
 			}
-			if !ok {
-				break
+			if len(preds) > 0 {
+				inflow /= float64(len(preds))
 			}
+			val := w.compute(t, inflow)
+			w.psi[t] = val
+			w.localDone[t] = true
+			w.logTasks = append(w.logTasks, t)
+			w.logPsi = append(w.logPsi, val)
+			a.completed = append(a.completed, comm.Item{Task: t, Psi: val})
+			w.col.Counter("proc.tasks").Inc()
 		}
-		if !ok {
-			break
-		}
-		if len(preds) > 0 {
-			inflow /= float64(len(preds))
-		}
-		val := w.compute(t, inflow)
-		w.psi[t] = val
-		w.localDone[t] = true
-		w.logTasks = append(w.logTasks, t)
-		w.logPsi = append(w.logPsi, val)
-		completed = append(completed, comm.Item{Task: t, Psi: val})
-		w.col.Counter("proc.tasks").Inc()
 	}
-	w.compBuf = completed
-	w.col.Counter("proc.steps").Inc()
+	w.compBuf = a.completed
 
 	e := enc{b: w.ackb[:0]}
-	appendFluxBatch(&e, completed)
-	if stalled {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-	e.i32(int32(stallTask))
-	e.i32(int32(stallMiss))
-	e.str(errMsg)
+	appendAck(&e, &a)
 	w.ackb = e.b
 	return func() error { return w.current().writeFrame(fAck, e.b, 5*time.Second) }, nil
 }
